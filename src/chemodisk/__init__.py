@@ -7,8 +7,8 @@ checks, and a stationary-uniqueness sweep, all reachable from the
 ``chemodisk`` command line.
 """
 
-from .radial import (EIGHT_PI, Grid, MassProfile, PotentialSlope, ProfileError,
-                     RadialField, density_from_mass, mass_from_density,
+from .radial import (EIGHT_PI, Grid, MassProfile, ProfileError, RadialField,
+                     density_from_mass, mass_from_density,
                      potential_from_slope, potential_slope_from_mass,
                      preset_profile, second_moment)
 from .barriers import (SubBarrier, SuperBarrier, apply_q, find_dominated_sub,

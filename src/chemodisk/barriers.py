@@ -13,15 +13,15 @@ what makes them usable as a two-sided vise around stationary profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .radial import Grid, MassProfile, derivative
+from .radial import Grid, MassProfile
 
 __all__ = [
     "SuperBarrier", "SubBarrier", "DerivativeBoundError", "DominationError",
-    "apply_q", "residual_super_closed_form", "residual_sub_closed_form",
+    "stationary_operator", "apply_q",
+    "residual_super_closed_form", "residual_sub_closed_form",
     "envelope_crossing_super", "envelope_crossing_sub",
     "find_dominating_super", "find_dominated_sub",
     "separation_margin", "audit_residuals",
@@ -112,7 +112,8 @@ class SubBarrier:
 # operator evaluation
 # ---------------------------------------------------------------------------
 
-def _q(w, w1, w2, m, xi):
+def stationary_operator(w, w1, w2, m, xi):
+    """Q W = -4 xi W'' - W W' / pi + m xi W' / pi from nodal W, W', W''."""
     return -4.0 * xi * w2 - w * w1 / np.pi + m * xi * w1 / np.pi
 
 
@@ -148,7 +149,7 @@ def apply_q(w, m: float, xi, method: str = "analytic", h: float | None = None):
     fp2, fm2 = fn(xi + 2 * h), fn(xi - 2 * h)
     w1 = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
     w2 = (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h ** 2)
-    return _q(f0, w1, w2, m, xi)
+    return stationary_operator(f0, w1, w2, m, xi)
 
 
 def residual_super_closed_form(a: float, m: float, xi):
@@ -178,7 +179,7 @@ _ENVELOPE_MARGIN = 1e-6
 
 
 def _check_derivative_window(M: MassProfile, C: float):
-    d = derivative(M.values, M.grid.nodes)[1:-1]
+    d = M.grid.stencil.d1_xi(M.values)[1:-1]
     bad = np.where((d <= 1.0 / C) | (d >= C))[0]
     if bad.size:
         i = int(bad[0]) + 1
@@ -187,7 +188,7 @@ def _check_derivative_window(M: MassProfile, C: float):
 
 def default_derivative_bound(M: MassProfile) -> float:
     """2*max(M_xi, 1/M_xi) over interior nodes, inflated by 1.1."""
-    d = derivative(M.values, M.grid.nodes)[1:-1]
+    d = M.grid.stencil.d1_xi(M.values)[1:-1]
     d = np.maximum(d, 1e-300)
     return 1.1 * 2.0 * float(max(d.max(), (1.0 / d).max()))
 

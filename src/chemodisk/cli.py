@@ -1,8 +1,9 @@
 """Command-line surface: runs, audits, sweeps, and named scenarios.
 
-Subcommands: simulate, barrier, steady, energy-audit, sweep, check, and
+Subcommands: simulate, barrier, steady, energy-audit, sweep, and
 scenario <name> with names verify-global, dichotomy, blowup, uniqueness,
-check.
+check.  ``steady --mass M`` runs the uniqueness probes of the uniqueness
+scenario at the given masses instead of pi, 2pi, 4pi and 8pi.
 Exit codes: 0 all assertions pass, 1 usage error, 2 scientific verdict
 mismatch.
 """
@@ -201,11 +202,11 @@ def run_uniqueness_probes(m, grid, seed, out_dir):
     }
 
 
-def scenario_uniqueness(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
+def scenario_uniqueness(cfg: ExperimentConfig, out_dir,
+                        masses=(np.pi, 2 * np.pi, 4 * np.pi, EIGHT_PI)) -> ScenarioResult:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = cfg.grid()
-    masses = [np.pi, 2 * np.pi, 4 * np.pi, EIGHT_PI]
     summary = {}
     ok = True
     for m in masses:
@@ -448,9 +449,8 @@ def build_parser() -> _Parser:
                      description="radial chemotaxis laboratory on the unit disk")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("simulate", "check"):
-        sp = subs.add_parser(name)
-        _add_config_options(sp)
+    sp = subs.add_parser("simulate")
+    _add_config_options(sp)
 
     sp = subs.add_parser("scenario")
     sp.add_argument("name",
@@ -484,7 +484,7 @@ def cmd_energy_audit(args) -> int:
     data = csvio.read_trace(trace_dir / "trace.csv")
     t, F, D = data["t"], data["energy"], data["dissipation"]
     dfdt = np.gradient(F, t, edge_order=1)
-    integral = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * (D[1:] + D[:-1]))])
+    integral = radial.cumulative_trapezoid(D, t)
     residual = np.abs((F[0] - F) - integral)
     rows = list(zip(t, F, D, dfdt, residual))
     out = Path(args.out) if args.out else trace_dir / "energy_audit.csv"
@@ -515,25 +515,11 @@ def main(argv=None) -> int:
             trace, summary = run_simulation(cfg, out_dir)
             csvio.write_summary(Path(out_dir) / "summary.txt", summary)
             return 0
-        if args.command == "check":
-            return scenario_check(cfg, out_dir).exit_code
         if args.command == "scenario":
             return run_scenario(args.name, cfg, out_dir).exit_code
         if args.command == "steady":
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
             masses = [parse_number(tok) for tok in (args.mass or ["8pi"])]
-            ok = True
-            summary = {}
-            for m in masses:
-                rep = run_uniqueness_probes(m, cfg.grid(), cfg.seed, out)
-                tag = f"{m:.6g}"
-                summary[f"converged_{tag}"] = rep["all_converged"]
-                summary[f"sweep_{tag}"] = rep["sweep_conclusion"]
-                ok = ok and rep["all_converged"] \
-                    and rep["sweep_conclusion"] == "sandwiched"
-            csvio.write_summary(out / "summary.txt", summary)
-            return 0 if ok else 2
+            return scenario_uniqueness(cfg, out_dir, masses).exit_code
         if args.command == "sweep":
             if "=" not in args.axis:
                 raise UsageError("--axis expects KEY=V1,V2,...")

@@ -154,6 +154,13 @@ def parse_config(document) -> ExperimentConfig:
         seed = int(merged["seed"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad numeric value: {exc}") from exc
+    for key, value in (("mass", mass), ("grid.gamma", gamma), ("scheme.dt0", dt0),
+                       ("scheme.cfl", cfl), ("scheme.t_end", t_end),
+                       ("scheme.snapshot_every", snapshot_every),
+                       ("scheme.u_blowup_threshold", threshold),
+                       ("scheme.dt_min", dt_min)):
+        if value is not None and not np.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
 
     if mass <= 0:
         raise ConfigError("mass must be positive")
@@ -183,16 +190,16 @@ def parse_config(document) -> ExperimentConfig:
         if a is not None:
             raise ConfigError("pks preset does not take initial.a")
         params["lam"] = parse_number(lam)
-        if params["lam"] <= 0:
-            raise ConfigError("initial.lambda must be positive")
+        if not 0 < params["lam"] < np.inf:
+            raise ConfigError("initial.lambda must be positive and finite")
     elif kind == "barrier":
         if a is None:
             raise ConfigError("barrier preset needs initial.a")
         if lam is not None:
             raise ConfigError("barrier preset does not take initial.lambda")
         params["a"] = parse_number(a)
-        if params["a"] <= 0:
-            raise ConfigError("initial.a must be positive")
+        if not 0 < params["a"] < np.inf:
+            raise ConfigError("initial.a must be positive and finite")
     else:
         raise ConfigError(f"unknown preset kind {kind!r}")
 

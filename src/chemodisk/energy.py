@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import trapezoid as scipy_trapezoid
 
 from . import radial
-from .radial import EIGHT_PI, RadialField, Grid, derivative, trapezoid
+from .radial import EIGHT_PI, RadialField, Grid, Stencil, trapezoid
 
 # density floor inside logarithms, relative to the mean density m/pi
 _LOG_FLOOR = 1e-14
@@ -51,36 +51,43 @@ def _mass_of(u: RadialField) -> float:
     return val
 
 
+def _free_energy_dissipation(u, v, floor, st: Stencil):
+    """(F, D, F integrand) for nodal density u and potential v.
+
+    F = pi int (u ln u - u v / 2) dxi and D = pi int u ((ln u - v)_r)^2 dxi,
+    both with the trapezoid weights of the stencil and u floored inside the
+    log.  The same difference stencil is applied to ln u and v, so profiles
+    with u = C exp(v) dissipate exactly zero up to roundoff.  The solver
+    calls this every step.
+    """
+    lnu = np.log(np.maximum(u, floor))
+    f = u * lnu - 0.5 * u * v
+    F = np.pi * (st.w_xi @ f)
+    gp = st.d1_r(lnu - v)
+    D = max(np.pi * (st.w_xi @ (u * gp * gp)), 0.0)
+    return float(F), float(D), f
+
+
 def free_energy(u: RadialField, v: RadialField) -> float:
     return energy_report(u, v).value
 
 
 def energy_report(u: RadialField, v: RadialField) -> EnergyReport:
-    """F(u) = 2*pi int (u ln u - u v / 2) r dr, with u floored in the log."""
+    """F(u) = 2*pi int (u ln u - u v / 2) r dr, with u floored in the log,
+    and the dissipation 2*pi int u (d/dr (ln u - v))^2 r dr >= 0."""
     if np.any(u.values < 0):
         raise radial.ProfileError("density must be nonnegative")
     m = _mass_of(u)
     floor = _LOG_FLOOR * m / np.pi
     clamped = int(np.count_nonzero(u.values < floor))
-    log_u = np.log(np.maximum(u.values, floor))
-    integrand = u.values * log_u - 0.5 * u.values * v.values
-    val, est = _disk_integral(integrand, u.radii)
-    d = dissipation(u, v)
-    return EnergyReport(val, d, est, clamped)
+    st = Stencil(u.radii ** 2, u.radii)
+    F, D, integrand = _free_energy_dissipation(u.values, v.values, floor, st)
+    _, est = _disk_integral(integrand, u.radii)
+    return EnergyReport(F, D, est, clamped)
 
 
 def dissipation(u: RadialField, v: RadialField) -> float:
-    """2*pi int u (d/dr (ln u - v))^2 r dr >= 0.
-
-    The same difference stencil is applied to ln u and v, so profiles with
-    u = C exp(v) dissipate exactly zero up to roundoff.
-    """
-    m = _mass_of(u)
-    floor = _LOG_FLOOR * m / np.pi
-    g = np.log(np.maximum(u.values, floor)) - v.values
-    gp = derivative(g, u.radii)
-    val, _ = _disk_integral(u.values * gp ** 2, u.radii)
-    return max(val, 0.0)
+    return energy_report(u, v).dissipation
 
 
 def audit_decay(trace) -> DecayAudit:

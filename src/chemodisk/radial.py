@@ -10,6 +10,7 @@ differentiation and the integrated elliptic balance
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import trapezoid as scipy_trapezoid
@@ -40,6 +41,8 @@ class Grid:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 17:
             raise ProfileError("grid needs at least 17 nodes (N >= 16)")
+        if not np.all(np.isfinite(nodes)):
+            raise ProfileError("grid nodes must be finite")
         if nodes[0] != 0.0 or nodes[-1] != 1.0:
             raise ProfileError("grid must span [0, 1] exactly")
         if np.any(np.diff(nodes) <= 0):
@@ -67,41 +70,83 @@ class Grid:
     def radii(self) -> np.ndarray:
         return np.sqrt(self.nodes)
 
+    @cached_property
+    def stencil(self) -> "Stencil":
+        return Stencil(self.nodes, self.radii)
+
     def __eq__(self, other):
         return isinstance(other, Grid) and np.array_equal(self.nodes, other.nodes)
 
 
-def derivative(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Second-order first derivative on a nonuniform grid.
+def _spacings(x):
+    """Left and right cell widths (hm, hp) at the interior nodes of x."""
+    return x[1:-1] - x[:-2], x[2:] - x[1:-1]
 
-    Centered three-point formula at interior nodes, one-sided three-point
-    formulas at the endpoints; exact on quadratics.
+
+class FirstDerivative:
+    """Three-point first-derivative weights on nonuniform nodes x.
+
+    Centered weights (lo, mid, hi) at interior nodes and one-sided triples
+    at the endpoints, nearest node first; exact on quadratics.
     """
-    values = np.asarray(values, dtype=float)
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(values)
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
-    out[1:-1] = (-hp / (hm * (hm + hp)) * values[:-2]
-                 + (hp - hm) / (hm * hp) * values[1:-1]
-                 + hm / (hp * (hm + hp)) * values[2:])
-    h0, h1 = x[1] - x[0], x[2] - x[1]
-    out[0] = (-(2 * h0 + h1) / (h0 * (h0 + h1)) * values[0]
-              + (h0 + h1) / (h0 * h1) * values[1]
-              - h0 / (h1 * (h0 + h1)) * values[2])
-    hN, hM = x[-1] - x[-2], x[-2] - x[-3]
-    out[-1] = ((2 * hN + hM) / (hN * (hN + hM)) * values[-1]
-               - (hN + hM) / (hN * hM) * values[-2]
-               + hN / (hM * (hN + hM)) * values[-3])
-    return out
+
+    def __init__(self, x: np.ndarray):
+        hm, hp = _spacings(x)
+        self.lo = -hp / (hm * (hm + hp))
+        self.mid = (hp - hm) / (hm * hp)
+        self.hi = hm / (hp * (hm + hp))
+        h0, h1 = x[1] - x[0], x[2] - x[1]
+        self.left = (-(2 * h0 + h1) / (h0 * (h0 + h1)), (h0 + h1) / (h0 * h1),
+                     -h0 / (h1 * (h0 + h1)))
+        hN, hM = x[-1] - x[-2], x[-2] - x[-3]
+        self.right = ((2 * hN + hM) / (hN * (hN + hM)), -(hN + hM) / (hN * hM),
+                      hN / (hM * (hN + hM)))
+        for a in (self.lo, self.mid, self.hi):
+            a.setflags(write=False)  # shared by every user of a cached Grid.stencil
+
+    def __call__(self, f: np.ndarray) -> np.ndarray:
+        left, right = self.left, self.right
+        out = np.empty_like(f)
+        out[1:-1] = self.lo * f[:-2] + self.mid * f[1:-1] + self.hi * f[2:]
+        out[0] = left[0] * f[0] + left[1] * f[1] + left[2] * f[2]
+        out[-1] = right[0] * f[-1] + right[1] * f[-2] + right[2] * f[-3]
+        return out
+
+
+class Stencil:
+    """The three-point operators of one grid; built once per grid as Grid.stencil.
+
+    d1_xi, d1_r: first derivatives in xi and in r = sqrt(xi).
+    d2: interior second-derivative weights (lo, mid, hi) in xi, for matrix
+    assembly.  hm, hp: cell widths left and right of each interior node.
+    w_xi: trapezoid node weights for int . dxi over the grid.
+    """
+
+    def __init__(self, xi: np.ndarray, r: np.ndarray):
+        self.hm, self.hp = hm, hp = _spacings(xi)
+        denom = hm * hp * (hm + hp)
+        self.d2 = (2.0 * hp / denom, -2.0 * (hm + hp) / denom, 2.0 * hm / denom)
+        self.d1_xi = FirstDerivative(xi)
+        self.d1_r = FirstDerivative(r)
+        dxi = np.diff(xi)
+        self.w_xi = 0.5 * np.concatenate(([dxi[0]], dxi[:-1] + dxi[1:], [dxi[-1]]))
+        for a in (hm, hp, *self.d2, self.w_xi):
+            a.setflags(write=False)
+
+
+def derivative(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Second-order first derivative on a nonuniform grid (see FirstDerivative)."""
+    return FirstDerivative(np.asarray(x, dtype=float))(np.asarray(values, dtype=float))
 
 
 def second_derivative_interior(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Three-point second derivative at interior nodes (exact on quadratics)."""
+    """Three-point second derivative at interior nodes (exact on quadratics).
+
+    Applied in factored form, which rounds differently from the coefficient
+    arrays of Stencil.d2 used for matrix assembly.
+    """
     values = np.asarray(values, dtype=float)
-    x = np.asarray(x, dtype=float)
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
+    hm, hp = _spacings(np.asarray(x, dtype=float))
     return 2.0 * (hp * values[:-2] - (hm + hp) * values[1:-1] + hm * values[2:]) \
         / (hm * hp * (hm + hp))
 
@@ -157,6 +202,8 @@ class MassProfile:
             raise ProfileError("total mass must be positive")
         if values.shape != self.grid.nodes.shape:
             raise ProfileError("profile values must match the grid")
+        if not (np.isfinite(m) and np.all(np.isfinite(values))):
+            raise ProfileError("profile values and total mass must be finite")
         tol = _MONO_TOL * m
         if abs(values[0]) > tol:
             raise ProfileError(f"M(0) = {values[0]!r}, expected 0")
@@ -199,26 +246,6 @@ class RadialField:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
-class PotentialSlope:
-    """Samples of v_r over r, with the r -> 0 limit pinned to 0."""
-
-    radii: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        radii = np.asarray(self.radii, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if radii.shape != values.shape:
-            raise ProfileError("radii/values shape mismatch")
-        if not np.all(np.isfinite(values)):
-            raise ProfileError("slope values must be finite")
-        radii.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "values", values)
-
-
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
@@ -243,16 +270,16 @@ def density_from_mass(M: MassProfile) -> RadialField:
     return RadialField(M.grid.radii, u)
 
 
-def potential_slope_from_mass(M: MassProfile) -> PotentialSlope:
+def potential_slope_from_mass(M: MassProfile) -> RadialField:
     """v_r(sqrt(xi)) = -(M - m*xi) / (2*pi*sqrt(xi)); limit 0 at r = 0."""
     xi = M.grid.nodes
     m = M.total_mass
     s = np.zeros_like(xi)
     s[1:] = -(M.values[1:] - m * xi[1:]) / (2.0 * np.pi * np.sqrt(xi[1:]))
-    return PotentialSlope(M.grid.radii, s)
+    return RadialField(M.grid.radii, s)
 
 
-def potential_from_slope(s: PotentialSlope) -> RadialField:
+def potential_from_slope(s: RadialField) -> RadialField:
     """Integrate v_r in r and shift so the disk average of v vanishes."""
     v = cumulative_trapezoid(s.values, s.radii)
     # disk average: (2*pi int v r dr) / pi = int v(sqrt(xi)) dxi

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .radial import Grid, MassProfile, cumulative_trapezoid
-from .energy import _LOG_FLOOR
+from .energy import _LOG_FLOOR, _free_energy_dissipation
 
 VERDICT_COMPLETED = "completed"
 VERDICT_BLOWUP = "blowup_detected"
@@ -38,6 +38,9 @@ class SchemeConfig:
     dt_min: float = 1e-12
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.dt0, self.t_end, self.snapshot_every,
+                                   self.threshold(1.0)])):
+            raise ValueError("dt0, t_end, snapshot_every and threshold must be finite")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError("cfl must lie in (0, 1]")
         if not (self.dt0 > self.dt_min > 0.0):
@@ -118,31 +121,18 @@ class BlowupDetector:
 
 
 class _Workspace:
-    """Grid-bound scratch: stencil coefficients, banded template, weights."""
+    """Grid-bound scratch: the grid's stencil and the banded diffusion template."""
 
     def __init__(self, grid: Grid, m: float):
-        self.grid = grid
         self.m = float(m)
-        xi = grid.nodes
-        self.xi = xi
+        self.xi = grid.nodes
         self.r = grid.radii
-        n = grid.n
-        self.n = n
-
-        self.hm = xi[1:-1] - xi[:-2]
-        self.hp = xi[2:] - xi[1:-1]
-
-        self._d1_xi = self._first_derivative_coeffs(xi)
-        self._d1_r = self._first_derivative_coeffs(self.r)
-
-        # second-derivative stencil, interior nodes
-        denom = self.hm * self.hp * (self.hm + self.hp)
-        cA2 = 2.0 * self.hp / denom
-        cB2 = -2.0 * (self.hm + self.hp) / denom
-        cC2 = 2.0 * self.hm / denom
+        self.st = grid.stencil
 
         # banded template for I - dt * 4 xi d2 (rows 0 and n are identity)
-        xi_in = xi[1:-1]
+        cA2, cB2, cC2 = self.st.d2
+        xi_in = self.xi[1:-1]
+        n = grid.n
         self._diagD = np.zeros(n + 1)
         self._diagD[1:-1] = 4.0 * xi_in * cB2
         self._supD = np.zeros(n + 1)
@@ -150,43 +140,10 @@ class _Workspace:
         self._subD = np.zeros(n + 1)
         self._subD[:-2] = 4.0 * xi_in * cA2
         self._ab = np.empty((3, n + 1))
-
-        # trapezoid node weights for int . dxi on [0, 1]
-        w = np.empty(n + 1)
-        dxi = np.diff(xi)
-        w[0] = 0.5 * dxi[0]
-        w[-1] = 0.5 * dxi[-1]
-        w[1:-1] = 0.5 * (dxi[:-1] + dxi[1:])
-        self.w_xi = w
         self._log_floor = _LOG_FLOOR * self.m / np.pi
 
-    @staticmethod
-    def _first_derivative_coeffs(x):
-        hm = x[1:-1] - x[:-2]
-        hp = x[2:] - x[1:-1]
-        cA = -hp / (hm * (hm + hp))
-        cB = (hp - hm) / (hm * hp)
-        cC = hm / (hp * (hm + hp))
-        h0, h1 = x[1] - x[0], x[2] - x[1]
-        left = (-(2 * h0 + h1) / (h0 * (h0 + h1)),
-                (h0 + h1) / (h0 * h1),
-                -h0 / (h1 * (h0 + h1)))
-        hN, hM = x[-1] - x[-2], x[-2] - x[-3]
-        right = ((2 * hN + hM) / (hN * (hN + hM)),
-                 -(hN + hM) / (hN * hM),
-                 hN / (hM * (hN + hM)))
-        return cA, cB, cC, left, right
-
-    def _d1(self, f, coeffs):
-        cA, cB, cC, left, right = coeffs
-        out = np.empty_like(f)
-        out[1:-1] = cA * f[:-2] + cB * f[1:-1] + cC * f[2:]
-        out[0] = left[0] * f[0] + left[1] * f[1] + left[2] * f[2]
-        out[-1] = right[0] * f[-1] + right[1] * f[-2] + right[2] * f[-3]
-        return out
-
     def density(self, M):
-        u = self._d1(M, self._d1_xi) / np.pi
+        u = self.st.d1_xi(M) / np.pi
         np.maximum(u, 0.0, out=u)
         return u
 
@@ -196,7 +153,7 @@ class _Workspace:
     def cfl_limit(self, M) -> float:
         """Largest dt keeping the explicit upwind update monotone."""
         c = self.wave_speed(M)[1:-1]
-        h_up = np.where(c >= 0.0, self.hp, self.hm)
+        h_up = np.where(c >= 0.0, self.st.hp, self.st.hm)
         ac = np.abs(c)
         mask = ac > 1e-14 * max(1.0, self.m / np.pi)
         if not mask.any():
@@ -207,8 +164,8 @@ class _Workspace:
         """One advection-then-diffusion step; Dirichlet data reimposed exactly."""
         m = self.m
         c = self.wave_speed(M)[1:-1]
-        fwd = (M[2:] - M[1:-1]) / self.hp
-        bwd = (M[1:-1] - M[:-2]) / self.hm
+        fwd = (M[2:] - M[1:-1]) / self.st.hp
+        bwd = (M[1:-1] - M[:-2]) / self.st.hm
         Mstar = M.copy()
         Mstar[1:-1] += dt * c * np.where(c >= 0.0, fwd, bwd)
         Mstar[0] = 0.0
@@ -238,20 +195,18 @@ class _Workspace:
     def diagnostics(self, M):
         """(sup_u, sup M/xi, free energy, dissipation, second moment, peak_xi)."""
         m = self.m
+        w_xi = self.st.w_xi
         u = self.density(M)
         s = np.zeros_like(M)
         s[1:] = -(M[1:] - m * self.xi[1:]) / (2.0 * np.pi * self.r[1:])
         v = cumulative_trapezoid(s, self.r)
-        v -= self.w_xi @ v
-        lnu = np.log(np.maximum(u, self._log_floor))
-        F = np.pi * (self.w_xi @ (u * lnu - 0.5 * u * v))
-        gp = self._d1(lnu - v, self._d1_r)
-        D = max(np.pi * (self.w_xi @ (u * gp * gp)), 0.0)
+        v -= w_xi @ v
+        F, D, _ = _free_energy_dissipation(u, v, self._log_floor, self.st)
         sup_u = float(u.max())
         sup_mxi = float(np.max(M[1:] / self.xi[1:]))
-        secmom = m - float(self.w_xi @ M)
+        secmom = m - float(w_xi @ M)
         peak_xi = float(self.xi[1 + int(np.argmax(u[1:-1]))])
-        return sup_u, sup_mxi, float(F), float(D), secmom, peak_xi
+        return sup_u, sup_mxi, F, D, secmom, peak_xi
 
 
 def step(M: MassProfile, dt: float, m: float | None = None) -> MassProfile:

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from . import radial
-from .radial import Grid, MassProfile, derivative, second_derivative_interior
+from . import radial, solver
+from .radial import Grid, MassProfile, second_derivative_interior
 from .barriers import (SuperBarrier, SubBarrier, default_derivative_bound,
                        find_dominating_super, find_dominated_sub,
-                       separation_margin)
+                       separation_margin, stationary_operator)
 
 
 @dataclass(frozen=True)
@@ -52,32 +52,30 @@ class LongtimeReport:
 
 
 def stationary_residual(W: MassProfile, m: float | None = None) -> np.ndarray:
-    """Q applied nodewise at interior nodes via the solver's stencils."""
+    """Q applied nodewise at interior nodes via the grid's stencil."""
     m = W.total_mass if m is None else float(m)
-    return _residual_arrays(W.values, W.grid.nodes, m)
+    return _residual_arrays(W.values, W.grid, m)
 
 
-def _jacobian_banded(w, xi, m):
+def _residual_arrays(w, grid: Grid, m):
+    xi = grid.nodes
+    d1 = grid.stencil.d1_xi(w)[1:-1]
+    d2 = second_derivative_interior(w, xi)
+    return stationary_operator(w[1:-1], d1, d2, m, xi[1:-1])
+
+
+def _jacobian_banded(w, grid: Grid, m):
     """Banded Jacobian of the interior residual map (interior unknowns only)."""
-    n = xi.size - 1
-    hm = xi[1:-1] - xi[:-2]
-    hp = xi[2:] - xi[1:-1]
-    # first-derivative coefficients
-    cA1 = -hp / (hm * (hm + hp))
-    cB1 = (hp - hm) / (hm * hp)
-    cC1 = hm / (hp * (hm + hp))
-    # second-derivative coefficients
-    denom = hm * hp * (hm + hp)
-    cA2 = 2.0 * hp / denom
-    cB2 = -2.0 * (hm + hp) / denom
-    cC2 = 2.0 * hm / denom
-    d1 = cA1 * w[:-2] + cB1 * w[1:-1] + cC1 * w[2:]
-    xi_in = xi[1:-1]
+    st = grid.stencil
+    cA1, cB1, cC1 = st.d1_xi.lo, st.d1_xi.mid, st.d1_xi.hi
+    cA2, cB2, cC2 = st.d2
+    d1 = st.d1_xi(w)[1:-1]
+    xi_in = grid.nodes[1:-1]
     drift = (m * xi_in - w[1:-1]) / np.pi
     diag = -4.0 * xi_in * cB2 + drift * cB1 - d1 / np.pi
     lower = -4.0 * xi_in * cA2 + drift * cA1
     upper = -4.0 * xi_in * cC2 + drift * cC1
-    ab = np.zeros((3, n - 1))
+    ab = np.zeros((3, grid.n - 1))
     ab[0, 1:] = upper[:-1]
     ab[1, :] = diag
     ab[2, :-1] = lower[1:]
@@ -96,17 +94,15 @@ def solve_stationary_newton(m: float, init: MassProfile,
     along the stable dynamics before Newton resumes.  Non-convergence is
     reported in the result, not raised.
     """
-    from . import solver
-
-    xi = init.grid.nodes
     grid = init.grid
+    xi = grid.nodes
     w = np.clip(init.values.copy(), 0.0, m)
     w[0] = 0.0
     w[-1] = m
     tol = tol_rel * m
     norms = []
     dists = []
-    res = _residual_arrays(w, xi, m)
+    res = _residual_arrays(w, grid, m)
     norms.append(float(np.abs(res).max()))
     dists.append(float(np.abs(w - m * xi).max()))
     it = 0
@@ -114,7 +110,7 @@ def solve_stationary_newton(m: float, init: MassProfile,
     slow = 0
     converged = norms[-1] < tol
     while not converged and it < max_iter:
-        ab = _jacobian_banded(w, xi, m)
+        ab = _jacobian_banded(w, grid, m)
         try:
             delta = solve_banded((1, 1), ab, -res, check_finite=False)
         except np.linalg.LinAlgError:
@@ -126,7 +122,7 @@ def solve_stationary_newton(m: float, init: MassProfile,
                 trial = w.copy()
                 trial[1:-1] = w[1:-1] + lam * delta
                 np.clip(trial, 0.0, m, out=trial)
-                trial_res = _residual_arrays(trial, xi, m)
+                trial_res = _residual_arrays(trial, grid, m)
                 norm = float(np.abs(trial_res).max())
                 if np.isfinite(norm) and norm < norms[-1]:
                     slow = slow + 1 if norm > 0.9 * norms[-1] else 0
@@ -151,22 +147,16 @@ def solve_stationary_newton(m: float, init: MassProfile,
             relax = solver.simulate(relax_cfg, prof, m)
             w = relax.snapshots[-1][1].values.copy()
             w[0], w[-1] = 0.0, m
-            res = _residual_arrays(w, xi, m)
+            res = _residual_arrays(w, grid, m)
             norms.append(float(np.abs(res).max()))
             dists.append(float(np.abs(w - m * xi).max()))
         converged = norms[-1] < tol
     # monotone repair before packaging (Newton can dip microscopically)
     w = np.maximum.accumulate(np.clip(w, 0.0, m))
     w[0], w[-1] = 0.0, m
-    profile = MassProfile(init.grid, w, m)
+    profile = MassProfile(grid, w, m)
     dist = float(np.abs(w - m * xi).max())
     return NewtonResult(profile, converged, it, tuple(norms), tuple(dists), dist)
-
-
-def _residual_arrays(w, xi, m):
-    d1 = derivative(w, xi)[1:-1]
-    d2 = second_derivative_interior(w, xi)
-    return -4.0 * xi[1:-1] * d2 - w[1:-1] * d1 / np.pi + m * xi[1:-1] * d1 / np.pi
 
 
 def uniqueness_sweep(W: MassProfile, m: float | None = None,

@@ -87,6 +87,28 @@ class TestParseConfig:
         assert M0.total_mass == pytest.approx(4.0 * np.pi)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("mass", "nan"), ("mass", "inf"),
+    ("scheme.t_end", "inf"), ("scheme.t_end", "nan"),
+    ("scheme.snapshot_every", "nan"), ("scheme.snapshot_every", "inf"),
+    ("scheme.dt0", "inf"), ("scheme.u_blowup_threshold", "nan"),
+])
+def test_parse_config_rejects_non_finite(key, value):
+    doc = {"mass": "4pi", key: value}
+    with pytest.raises(ConfigError):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"initial.kind": "pks", "initial.lambda": "nan"},
+    {"initial.kind": "pks", "initial.lambda": "inf"},
+    {"initial.kind": "barrier", "initial.a": "nan"},
+])
+def test_parse_config_rejects_non_finite_initial_parameter(doc):
+    with pytest.raises(ConfigError):
+        parse_config({"mass": "4pi", **doc})
+
+
 class TestCsvIo:
     def test_float_format_round_trips(self):
         assert float(csvio.fmt(np.pi)) == np.pi
@@ -185,8 +207,21 @@ class TestCli:
         assert len(rows) > 2
 
     def test_check_scenario(self, tmp_path, capsys):
-        code = cli.main(["check", "--set", "mass=4pi", "--out", str(tmp_path)])
+        code = cli.main(["scenario", "check", "--set", "mass=4pi",
+                         "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "FAIL" not in out
         assert (tmp_path / "check.csv").exists()
+
+    def test_steady_command(self, tmp_path):
+        code = cli.main(["steady", "--mass", "2pi", "--set", "grid.n=128",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        text = (tmp_path / "summary.txt").read_text()
+        keys = [line.split("=", 1)[0] for line in text.splitlines()]
+        assert keys == ["converged_6.28319", "max_distance_6.28319",
+                        "sweep_6.28319", "uniqueness"]
+        assert "uniqueness=pass" in text
+        assert (tmp_path / "newton_6.28319.csv").exists()
+        assert (tmp_path / "sweep_6.28319.csv").exists()

@@ -126,3 +126,17 @@ class TestRandomProfiles:
             assert field.values.min() > 0.0
             lam = energy._mass_of(field)
             assert 0.4 - 1e-9 <= lam <= M8 + 1e-9
+
+
+def test_energy_report_matches_solver_trace():
+    # the solver's per-step F and D and energy_report share one routine
+    grid = Grid.regular(256, gamma=2.0)
+    cfg = solver.SchemeConfig(grid=grid, t_end=0.5, snapshot_every=0.25)
+    trace = solver.simulate(cfg, preset_profile("pks", M8, grid, lam=0.2))
+    t, prof = trace.snapshots[1]
+    k = trace.times.index(t)
+    u = radial.density_from_mass(prof)
+    v = radial.potential_from_slope(radial.potential_slope_from_mass(prof))
+    rep = energy_report(u, v)
+    assert rep.value == pytest.approx(trace.energy[k], rel=1e-12)
+    assert rep.dissipation == pytest.approx(trace.dissipation[k], rel=1e-12)

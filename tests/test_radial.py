@@ -200,3 +200,46 @@ class TestPresets:
     def test_rejects_stray_parameter(self):
         with pytest.raises(ProfileError):
             radial.preset_profile("constant", 1.0, Grid.regular(32), lam=1.0)
+
+
+class TestGridStencil:
+    def test_built_once_per_grid(self):
+        g = Grid.regular(64, gamma=2.0)
+        assert g.stencil is g.stencil
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0])
+    def test_first_derivative_matches_derivative_bitwise(self, gamma):
+        g = Grid.regular(512, gamma=gamma)
+        f = np.sin(3.0 * g.nodes) + g.nodes ** 2
+        assert np.array_equal(g.stencil.d1_xi(f), derivative(f, g.nodes))
+        assert np.array_equal(g.stencil.d1_r(f), derivative(f, g.radii))
+
+    def test_second_derivative_weights_exact_on_quadratics(self):
+        g = Grid.regular(40, gamma=1.5)
+        y = 3.0 * g.nodes ** 2 - 2.0 * g.nodes + 1.0
+        lo, mid, hi = g.stencil.d2
+        assert np.allclose(lo * y[:-2] + mid * y[1:-1] + hi * y[2:], 6.0, atol=1e-9)
+
+    def test_trapezoid_weights(self):
+        g = Grid.regular(64, gamma=2.0)
+        y = np.cos(g.nodes)
+        assert g.stencil.w_xi @ y == pytest.approx(trapezoid(y, g.nodes)[0], rel=1e-14)
+
+
+class TestNonFinite:
+    def test_grid_rejects_nan_interior_node(self):
+        nodes = np.linspace(0.0, 1.0, 33)
+        nodes[5] = np.nan
+        with pytest.raises(ProfileError):
+            Grid(nodes)
+
+    def test_mass_profile_rejects_nan_values(self):
+        g = Grid.regular(32)
+        with pytest.raises(ProfileError):
+            MassProfile(g, np.full(g.n + 1, np.nan), 4.0)
+
+    @pytest.mark.parametrize("m", [np.nan, np.inf])
+    def test_mass_profile_rejects_non_finite_mass(self, m):
+        g = Grid.regular(32)
+        with pytest.raises(ProfileError):
+            MassProfile(g, 4.0 * g.nodes, m)

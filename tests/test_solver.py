@@ -190,3 +190,11 @@ class TestGradientBound:
         for _, prof in trace.snapshots:
             s = radial.potential_slope_from_mass(prof)
             assert np.abs(s.values).max() <= bound + 1e-9
+
+
+@pytest.mark.parametrize("key", ["dt0", "t_end", "snapshot_every",
+                                 "u_blowup_threshold"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_scheme_config_rejects_non_finite(key, value):
+    with pytest.raises(ValueError):
+        _config(Grid.regular(64), **{key: value})

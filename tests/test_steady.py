@@ -103,3 +103,23 @@ class TestLongtime:
         assert rep.density_sup_distance[-1] < rep.density_sup_distance[0]
         assert rep.potential_sup[-1] < rep.potential_sup[0]
         assert rep.decay_rate > 0.0
+
+
+def test_jacobian_matches_finite_differences():
+    # graded grid, off-equilibrium iterate: every coefficient of the
+    # banded Newton matrix against central differences of the residual
+    grid = Grid.regular(48, gamma=2.0)
+    m = M8
+    w = preset_profile("pks", m, grid, lam=0.5).values.copy()
+    ab = steady._jacobian_banded(w, grid, m)
+    n_in = grid.n - 1
+    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    fd = np.empty((n_in, n_in))
+    for j in range(n_in):
+        h = 1e-6 * max(1.0, abs(w[j + 1]))
+        plus, minus = w.copy(), w.copy()
+        plus[j + 1] += h
+        minus[j + 1] -= h
+        fd[:, j] = (steady._residual_arrays(plus, grid, m)
+                    - steady._residual_arrays(minus, grid, m)) / (2.0 * h)
+    assert np.abs(dense - fd).max() <= 1e-6 * np.abs(dense).max()
