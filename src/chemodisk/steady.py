@@ -29,6 +29,7 @@ class NewtonResult:
     residual_norms: tuple
     distances: tuple  # sup |W_k - m*xi| per accepted iterate
     distance_to_linear: float
+    relax_bursts: int  # relaxation fallback runs of the parabolic flow
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,19 @@ def solve_stationary_newton(m: float, init: MassProfile,
     monotone relaxation steps of the parabolic flow moves the iterate
     along the stable dynamics before Newton resumes.  Non-convergence is
     reported in the result, not raised.
+
+    Two tests stop the iteration with ``converged=True``:
+
+    - residual: ``max|Q(W)| < tol_rel*m``;
+    - step size: the full Newton update satisfies ``max|delta| <=
+      tol_rel*m``.  The update is Newton's estimate of the iterate's error,
+      so it is taken whole (and clipped to [0, m]) and the error left is
+      O(|delta|^2) plus rounding.
+
+    The residual test alone fails on fine grids: Q contains 4*xi*W'' with
+    weights of order 1/h^2, so its rounding floor grows like n^2.  At
+    n=512 even the exact discrete root m*xi has a residual above
+    ``1e-10*m``, and the line search can no longer decrease it.
     """
     grid = init.grid
     xi = grid.nodes
@@ -114,6 +128,15 @@ def solve_stationary_newton(m: float, init: MassProfile,
         try:
             delta = solve_banded((1, 1), ab, -res, check_finite=False)
         except np.linalg.LinAlgError:
+            break
+        if np.abs(delta).max() <= tol:  # false for a non-finite update
+            w[1:-1] += delta
+            np.clip(w, 0.0, m, out=w)
+            res = _residual_arrays(w, grid, m)
+            norms.append(float(np.abs(res).max()))
+            dists.append(float(np.abs(w - m * xi).max()))
+            it += 1
+            converged = True
             break
         lam = 1.0
         improved = False
@@ -156,7 +179,8 @@ def solve_stationary_newton(m: float, init: MassProfile,
     w[0], w[-1] = 0.0, m
     profile = MassProfile(grid, w, m)
     dist = float(np.abs(w - m * xi).max())
-    return NewtonResult(profile, converged, it, tuple(norms), tuple(dists), dist)
+    return NewtonResult(profile, converged, it, tuple(norms), tuple(dists),
+                        dist, relax_bursts)
 
 
 def uniqueness_sweep(W: MassProfile, m: float | None = None,

@@ -64,6 +64,33 @@ class TestNewton:
         assert res.profile.values[-1] == pytest.approx(m)
 
 
+class TestNewtonFineGrid:
+    """Grids where the residual test cannot fire: the step-size test stops."""
+
+    def test_residual_of_exact_root_exceeds_tolerance(self):
+        # the rounding floor of Q grows like n^2 (4*xi*W'' with 1/h^2
+        # weights), so a residual test alone never reports convergence here
+        W = preset_profile("constant", M8, Grid.regular(512))
+        assert np.abs(stationary_residual(W)).max() > 1e-10 * M8
+
+    @pytest.mark.parametrize("n", [512, 2048])
+    def test_flat_start_stops_after_one_update(self, n):
+        m = M8
+        res = solve_stationary_newton(m, preset_profile("constant", m, Grid.regular(n)))
+        assert res.converged
+        assert res.iterations == 1
+        assert res.relax_bursts == 0
+        assert res.distance_to_linear <= n * np.finfo(float).eps * m
+
+    def test_critical_mass_hard_start(self):
+        grid = Grid.regular(512)
+        res = solve_stationary_newton(M8, preset_profile("pks", M8, grid, lam=0.3))
+        assert res.converged
+        assert res.distance_to_linear < 1e-12 * M8
+        # this start still needs the relaxation fallback
+        assert 0 < res.relax_bursts < 12
+
+
 class TestSweep:
     def test_linear_profile_sandwiched(self):
         grid = Grid.regular(256)
