@@ -31,6 +31,13 @@ def parse_number(token) -> float:
     return float(text)
 
 
+def _parse_integer(token) -> int:
+    """Integer, integral float (512.0) or integer string; never truncates."""
+    if isinstance(token, (float, np.floating)) and not float(token).is_integer():
+        raise ValueError(f"{token!r} is not an integer")
+    return int(token)
+
+
 _DEFAULTS = {
     "grid.n": 512,
     "grid.gamma": 1.0,
@@ -142,7 +149,7 @@ def parse_config(document) -> ExperimentConfig:
 
     try:
         mass = parse_number(merged["mass"])
-        n = int(merged["grid.n"])
+        n = _parse_integer(merged["grid.n"])
         gamma = parse_number(merged["grid.gamma"])
         dt0 = parse_number(merged["scheme.dt0"])
         cfl = parse_number(merged["scheme.cfl"])
@@ -151,7 +158,7 @@ def parse_config(document) -> ExperimentConfig:
         thr = merged["scheme.u_blowup_threshold"]
         threshold = None if thr is None else parse_number(thr)
         dt_min = parse_number(merged["scheme.dt_min"])
-        seed = int(merged["seed"])
+        seed = _parse_integer(merged["seed"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad numeric value: {exc}") from exc
     for key, value in (("mass", mass), ("grid.gamma", gamma), ("scheme.dt0", dt0),

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid as scipy_trapezoid
 
 from . import radial
 from .radial import EIGHT_PI, RadialField, Grid, Stencil, trapezoid
@@ -103,7 +102,7 @@ def audit_decay(trace) -> DecayAudit:
     jumps = np.diff(F)
     max_up = float(jumps.max(initial=0.0))
     drop = float(F[0] - F[-1])
-    integral = float(scipy_trapezoid(D, t))
+    integral = radial._trapezoid_value(D, t)
     denom = abs(drop) if drop != 0.0 else 1.0
     return DecayAudit(max_up, abs(drop - integral) / denom, drop)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import trapezoid as scipy_trapezoid
 
 EIGHT_PI = 8.0 * np.pi
 
@@ -199,15 +198,30 @@ def second_derivative_interior(values: np.ndarray, x: np.ndarray) -> np.ndarray:
         / (hm * hp * (hm + hp))
 
 
+def _trapezoid_value(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite trapezoid value of 1-D samples, from 2 nodes up.
+
+    Same expression and operation order as ``scipy.integrate.trapezoid``,
+    so the two agree bit for bit.
+    """
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    return float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
+
+
 def trapezoid(y: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     """Composite trapezoid value plus a truncation-error estimate.
 
     The estimate is sum_cells h^3 |f''| / 12 with f'' from the interior
-    three-point stencil (nearest interior node for the boundary cells).
+    three-point stencil (nearest interior node for the boundary cells), so
+    it needs at least 3 nodes.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    value = float(scipy_trapezoid(y, x))
+    if x.size < 3:
+        raise ProfileError(
+            f"trapezoid error estimate needs at least 3 nodes, got {x.size}")
+    value = _trapezoid_value(y, x)
     h = np.diff(x)
     d2 = np.abs(second_derivative_interior(y, x))
     # cell i sits between nodes i and i+1; use the larger adjacent curvature
@@ -332,14 +346,13 @@ def potential_from_slope(s: RadialField) -> RadialField:
     v = cumulative_trapezoid(s.values, s.radii)
     # disk average: (2*pi int v r dr) / pi = int v(sqrt(xi)) dxi
     xi = s.radii ** 2
-    avg, _ = trapezoid(v, xi)
+    avg = _trapezoid_value(v, xi)
     return RadialField(s.radii, v - avg)
 
 
 def second_moment(M: MassProfile) -> float:
     """2*pi * int u r^3 dr, evaluated as m - int_0^1 M dxi."""
-    integral, _ = trapezoid(M.values, M.grid.nodes)
-    return M.total_mass - integral
+    return M.total_mass - _trapezoid_value(M.values, M.grid.nodes)
 
 
 def preset_profile(kind: str, m: float, grid: Grid, **params) -> MassProfile:

@@ -225,3 +225,24 @@ class TestCli:
         assert "uniqueness=pass" in text
         assert (tmp_path / "newton_6.28319.csv").exists()
         assert (tmp_path / "sweep_6.28319.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("grid.n", 512.7), ("grid.n", "512.7"), ("grid.n", np.float64(64.5)),
+    ("seed", 1.9), ("seed", "1.9"), ("seed", -0.5),
+    ("grid.n", float("inf")), ("seed", float("nan")),
+])
+def test_parse_config_rejects_non_integral_integers(key, value):
+    with pytest.raises(ConfigError):
+        parse_config({"mass": "4pi", key: value})
+
+
+@pytest.mark.parametrize("key,value,expected", [
+    ("grid.n", 512, 512), ("grid.n", 512.0, 512), ("grid.n", "512", 512),
+    ("grid.n", np.int64(64), 64), ("grid.n", np.float64(64.0), 64),
+    ("seed", 3, 3), ("seed", 3.0, 3), ("seed", " 7 ", 7),
+])
+def test_parse_config_accepts_integral_integers(key, value, expected):
+    cfg = parse_config({"mass": "4pi", key: value})
+    got = cfg.n if key == "grid.n" else cfg.seed
+    assert got == expected and type(got) is int
