@@ -5,7 +5,7 @@ scenario <name> with names verify-global, dichotomy, blowup, uniqueness,
 check.  ``steady --mass M`` runs the uniqueness probes of the uniqueness
 scenario at the given masses instead of pi, 2pi, 4pi and 8pi.
 Exit codes: 0 all assertions pass, 1 usage error, 2 scientific verdict
-mismatch.
+mismatch (for ``simulate``: the run stopped at the step floor).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import barriers, csvio, energy, radial, solver, steady
 from .config import ConfigError, ExperimentConfig, parse_config, parse_number
 from .radial import EIGHT_PI, Grid
-from .solver import VERDICT_BLOWUP, VERDICT_COMPLETED
+from .solver import VERDICT_BLOWUP, VERDICT_COMPLETED, VERDICT_STEP_FLOOR
 
 CONFINE_TOL = 1e-10  # relative to m, barrier-confinement slack
 
@@ -514,7 +514,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             trace, summary = run_simulation(cfg, out_dir)
             csvio.write_summary(Path(out_dir) / "summary.txt", summary)
-            return 0
+            return 2 if trace.verdict == VERDICT_STEP_FLOOR else 0
         if args.command == "scenario":
             return run_scenario(args.name, cfg, out_dir).exit_code
         if args.command == "steady":

@@ -171,8 +171,8 @@ def parse_config(document) -> ExperimentConfig:
 
     if mass <= 0:
         raise ConfigError("mass must be positive")
-    if n < 16:
-        raise ConfigError("grid.n must be at least 16")
+    if not 16 <= n <= 2 ** 20:  # a run costs O(n^2) time
+        raise ConfigError("grid.n must lie in [16, 2**20]")
     if not (1.0 <= gamma <= 3.0):
         raise ConfigError("grid.gamma must lie in [1, 3]")
     if not (0.0 < cfl <= 1.0):

@@ -4,7 +4,8 @@ For mass m <= 8*pi the only radial stationary profile is the linear one
 W = m*xi (constant density m/pi).  The sweep squeezes a candidate W
 between the concave and convex barrier families at log-spaced parameters,
 mirroring the open-closed continuation argument with explicit separation
-margins at every sampled parameter.
+margins at every sampled parameter.  Newton finds the candidates; where its
+line search stalls it takes pseudo-transient steps, not solver runs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from . import radial, solver
+from . import radial
 from .radial import Grid, MassProfile, second_derivative_interior
 from .barriers import (SuperBarrier, SubBarrier, default_derivative_bound,
                        find_dominating_super, find_dominated_sub,
@@ -29,7 +30,7 @@ class NewtonResult:
     residual_norms: tuple
     distances: tuple  # sup |W_k - m*xi| per accepted iterate
     distance_to_linear: float
-    relax_bursts: int  # relaxation fallback runs of the parabolic flow
+    shifted_steps: int  # accepted pseudo-transient (shifted) steps
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,11 @@ def solve_stationary_newton(m: float, init: MassProfile,
 
     Endpoints stay pinned at 0 and m; iterates are clipped to [0, m] and
     the step is halved until the residual norm decreases.  When the line
-    search stalls (steep transients far from the root), a short burst of
-    monotone relaxation steps of the parabolic flow moves the iterate
-    along the stable dynamics before Newton resumes.  Non-convergence is
+    search stalls, shifted steps ``(J + s*I) delta = -R`` follow the flow
+    ``M_t = -Q(M)`` from ``s = max|R|/m``; s doubles on a step that doubles
+    ``|R|``, else scales by ``|R_new|/|R_old|``, and Newton resumes at s <
+    1e-12 (pseudo-transient continuation, Kelley & Keyes 1998; switched
+    evolution relaxation, Mulder & van Leer 1985).  Non-convergence is
     reported in the result, not raised.
 
     Two tests stop the iteration with ``converged=True``:
@@ -101,7 +104,7 @@ def solve_stationary_newton(m: float, init: MassProfile,
     - step size: the full Newton update satisfies ``max|delta| <=
       tol_rel*m``.  The update is Newton's estimate of the iterate's error,
       so it is taken whole (and clipped to [0, m]) and the error left is
-      O(|delta|^2) plus rounding.
+      O(|delta|^2) plus rounding.  A small shifted update does not count.
 
     The residual test alone fails on fine grids: Q contains 4*xi*W'' with
     weights of order 1/h^2, so its rounding floor grows like n^2.  At
@@ -116,63 +119,65 @@ def solve_stationary_newton(m: float, init: MassProfile,
     tol = tol_rel * m
     norms = []
     dists = []
+
+    def step_to(step):
+        trial = w.copy()
+        trial[1:-1] += step
+        np.clip(trial, 0.0, m, out=trial)
+        trial_res = _residual_arrays(trial, grid, m)
+        return trial, trial_res, float(np.abs(trial_res).max())
+
+    def accept(trial, trial_res, norm):
+        norms.append(norm)
+        dists.append(float(np.abs(trial - m * xi).max()))
+        return trial, trial_res
+
     res = _residual_arrays(w, grid, m)
-    norms.append(float(np.abs(res).max()))
-    dists.append(float(np.abs(w - m * xi).max()))
+    w, res = accept(w, res, float(np.abs(res).max()))
     it = 0
-    relax_bursts = 0
+    shift = 0.0
+    shifted_steps = 0
     slow = 0
     converged = norms[-1] < tol
     while not converged and it < max_iter:
         ab = _jacobian_banded(w, grid, m)
         try:
-            delta = solve_banded((1, 1), ab, -res, check_finite=False)
+            delta = solve_banded((1, 1), ab + [[0.0], [shift], [0.0]], -res,
+                                 check_finite=False)
+            if shift and np.abs(delta).max() <= tol:
+                full = solve_banded((1, 1), ab, -res, check_finite=False)
+                if np.abs(full).max() <= tol:
+                    shift, delta = 0.0, full
         except np.linalg.LinAlgError:
             break
-        if np.abs(delta).max() <= tol:  # false for a non-finite update
-            w[1:-1] += delta
-            np.clip(w, 0.0, m, out=w)
-            res = _residual_arrays(w, grid, m)
-            norms.append(float(np.abs(res).max()))
-            dists.append(float(np.abs(w - m * xi).max()))
-            it += 1
+        it += 1
+        if not shift and np.abs(delta).max() <= tol:  # false if non-finite
+            w, res = accept(*step_to(delta))
             converged = True
             break
-        lam = 1.0
-        improved = False
-        if np.all(np.isfinite(delta)):
-            for _ in range(40):
-                trial = w.copy()
-                trial[1:-1] = w[1:-1] + lam * delta
-                np.clip(trial, 0.0, m, out=trial)
-                trial_res = _residual_arrays(trial, grid, m)
-                norm = float(np.abs(trial_res).max())
+        if shift:
+            trial, trial_res, norm = step_to(delta)
+            if np.isfinite(norm) and norm <= 2.0 * norms[-1]:
+                shift *= norm / norms[-1]
+                shift = shift if shift >= 1e-12 else 0.0
+                shifted_steps += 1
+                w, res = accept(trial, trial_res, norm)
+            else:
+                shift *= 2.0
+        else:
+            lam = 1.0
+            improved = False
+            for _ in range(40):  # a non-finite update fails every trial
+                trial, trial_res, norm = step_to(lam * delta)
                 if np.isfinite(norm) and norm < norms[-1]:
                     slow = slow + 1 if norm > 0.9 * norms[-1] else 0
-                    w, res = trial, trial_res
-                    norms.append(norm)
-                    dists.append(float(np.abs(w - m * xi).max()))
+                    w, res = accept(trial, trial_res, norm)
                     improved = True
                     break
                 lam *= 0.5
-        it += 1
-        if not improved or slow >= 3:
-            slow = 0
-            # relaxation fallback: follow the monotone parabolic flow for
-            # a doubling pseudo-time, then resume Newton
-            if relax_bursts >= 12:
-                break
-            t_relax = 0.05 * 2.0 ** relax_bursts
-            relax_bursts += 1
-            prof = MassProfile(grid, np.maximum.accumulate(w), m)
-            relax_cfg = solver.SchemeConfig(grid=grid, t_end=t_relax,
-                                            snapshot_every=t_relax)
-            relax = solver.simulate(relax_cfg, prof, m)
-            w = relax.snapshots[-1][1].values.copy()
-            w[0], w[-1] = 0.0, m
-            res = _residual_arrays(w, grid, m)
-            norms.append(float(np.abs(res).max()))
-            dists.append(float(np.abs(w - m * xi).max()))
+            if not improved or slow >= 3:
+                slow = 0
+                shift = norms[-1] / m
         converged = norms[-1] < tol
     # monotone repair before packaging (Newton can dip microscopically)
     w = np.maximum.accumulate(np.clip(w, 0.0, m))
@@ -180,7 +185,7 @@ def solve_stationary_newton(m: float, init: MassProfile,
     profile = MassProfile(grid, w, m)
     dist = float(np.abs(w - m * xi).max())
     return NewtonResult(profile, converged, it, tuple(norms), tuple(dists),
-                        dist, relax_bursts)
+                        dist, shifted_steps)
 
 
 def uniqueness_sweep(W: MassProfile, m: float | None = None,

@@ -197,6 +197,15 @@ class TestCli:
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert "gamma" in rows[2]  # the out-of-range value lands in the error column
 
+    def test_simulate_exits_2_at_step_floor(self, tmp_path):
+        # a tiny CFL factor on concentrated data drives dt under dt_min
+        code = cli.main(["simulate", "--set", "mass=4pi", "--set", "grid.n=32",
+                         "--set", "initial.kind=pks", "--set", "initial.lambda=0.3",
+                         "--set", "scheme.cfl=1e-3", "--set", "scheme.dt_min=5e-4",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "verdict=step_floor_reached" in (tmp_path / "summary.txt").read_text()
+
     def test_energy_audit_command(self, tmp_path):
         run_dir = tmp_path / "run"
         assert cli.main(["simulate", "--set", "mass=4pi", "--set", "grid.n=64",
@@ -246,3 +255,13 @@ def test_parse_config_accepts_integral_integers(key, value, expected):
     cfg = parse_config({"mass": "4pi", key: value})
     got = cfg.n if key == "grid.n" else cfg.seed
     assert got == expected and type(got) is int
+
+
+@pytest.mark.parametrize("value", [2 ** 20 + 1, 1e8, "100000000", 10 ** 12])
+def test_parse_config_rejects_grid_n_above_bound(value):
+    with pytest.raises(ConfigError, match="grid.n"):
+        parse_config({"mass": "4pi", "grid.n": value})
+
+
+def test_parse_config_accepts_grid_n_at_bound():
+    assert parse_config({"mass": "4pi", "grid.n": 2 ** 20}).n == 2 ** 20

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from chemodisk import solver, steady
-from chemodisk.radial import EIGHT_PI, Grid, MassProfile, preset_profile
+from chemodisk import cli, solver, steady
+from chemodisk.radial import (EIGHT_PI, Grid, MassProfile, density_from_mass,
+                              preset_profile)
 from chemodisk.steady import (longtime_convergence, solve_stationary_newton,
                               stationary_residual, uniqueness_sweep)
 
@@ -79,7 +80,7 @@ class TestNewtonFineGrid:
         res = solve_stationary_newton(m, preset_profile("constant", m, Grid.regular(n)))
         assert res.converged
         assert res.iterations == 1
-        assert res.relax_bursts == 0
+        assert res.shifted_steps == 0
         assert res.distance_to_linear <= n * np.finfo(float).eps * m
 
     def test_critical_mass_hard_start(self):
@@ -87,8 +88,32 @@ class TestNewtonFineGrid:
         res = solve_stationary_newton(M8, preset_profile("pks", M8, grid, lam=0.3))
         assert res.converged
         assert res.distance_to_linear < 1e-12 * M8
-        # this start still needs the relaxation fallback
-        assert 0 < res.relax_bursts < 12
+        # the line search stalls on this start; the pseudo-transient
+        # shift carries it to the root
+        assert res.shifted_steps > 0
+        assert res.iterations <= 30
+
+    @pytest.mark.parametrize("n,seed", [(512, s) for s in range(6)] + [(2048, 0)])
+    def test_all_uniqueness_probes_reach_flat_state(self, n, seed):
+        grid = Grid.regular(n)
+        for m in (np.pi, 2.0 * np.pi, 4.0 * np.pi, M8):
+            for j, init in enumerate(cli._newton_inits(m, grid, seed)):
+                res = solve_stationary_newton(m, init)
+                assert res.converged, (m, j)
+                assert res.distance_to_linear <= n * np.finfo(float).eps * m, (m, j)
+
+
+@pytest.mark.parametrize("mult,lam,u0", [
+    (9, 0.1, 362.7), (10, 0.3, 128.1), (12, 0.3, 39.99), (14, 0.3, 18.38)])
+def test_newton_reaches_non_flat_supercritical_state(mult, lam, u0):
+    # frozen oracle: plain Newton converges from these starts to the
+    # non-flat stationary branch past 8*pi; the shift must not take over
+    m = mult * np.pi
+    grid = Grid.regular(1024, 2.0)
+    res = solve_stationary_newton(m, preset_profile("pks", m, grid, lam=lam))
+    assert res.converged
+    assert res.shifted_steps == 0
+    assert density_from_mass(res.profile).values[0] == pytest.approx(u0, rel=1e-3)
 
 
 class TestSweep:
