@@ -117,7 +117,7 @@ def stationary_operator(w, w1, w2, m, xi):
     return -4.0 * xi * w2 - w * w1 / np.pi + m * xi * w1 / np.pi
 
 
-def apply_q(w, m: float, xi, method: str = "analytic", h: float | None = None):
+def apply_q(w, m: float, xi, method: str = "analytic"):
     """Evaluate Q at interior points xi in (0, 1).
 
     ``w`` is a barrier (analytic derivatives available) or any callable of
@@ -134,16 +134,13 @@ def apply_q(w, m: float, xi, method: str = "analytic", h: float | None = None):
             # drift-factored form: the naive sum of the three operator
             # terms cancels catastrophically near the linear profile
             return -4.0 * xi * w.curvature(xi) + w.drift(xi) * w.slope(xi) / np.pi
-        if h is None:
-            scale = w.a + xi if isinstance(w, SuperBarrier) else w.b + 1.0 - xi
-            h = 1e-3 * scale
+        h = 1e-3 * (w.a + xi if isinstance(w, SuperBarrier) else w.b + 1.0 - xi)
         fn = w.value
     else:
         if method == "analytic":
             raise ValueError("analytic derivatives only available for barriers")
         fn = w
-        if h is None:
-            h = 1e-3 * np.minimum(xi, 1.0 - xi)
+        h = 1e-3 * np.minimum(xi, 1.0 - xi)
     f0 = fn(xi)
     fp1, fm1 = fn(xi + h), fn(xi - h)
     fp2, fm2 = fn(xi + 2 * h), fn(xi - 2 * h)

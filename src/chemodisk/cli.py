@@ -51,7 +51,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> tuple:
     out.mkdir(parents=True, exist_ok=True)
     grid = cfg.grid()
     M0 = cfg.initial_profile(grid)
-    trace = solver.simulate(cfg.scheme(grid), M0, cfg.mass)
+    trace = solver.simulate(cfg.scheme(grid), M0)
 
     csvio.write_trace(out / "trace.csv", trace)
     for idx, (_, prof) in enumerate(trace.snapshots):
@@ -183,7 +183,7 @@ def run_uniqueness_probes(m, grid, seed, out_dir):
                      ["init", "iteration", "residual_norm", "distance_to_linear"],
                      rows)
     best = min(results, key=lambda r: r.distance_to_linear)
-    sweep = steady.uniqueness_sweep(best.profile, m)
+    sweep = steady.uniqueness_sweep(best.profile)
     sweep_rows = []
     for a, margin in zip(sweep.super_parameters, sweep.super_margins):
         sweep_rows.append(("super", a, margin, sweep.conclusion))
@@ -312,7 +312,7 @@ def scenario_blowup(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
     # the default density threshold exceeds what the monotone scheme can
     # represent at N=512 on this grading; use a level that both grids
     # cross while the collapse is still explosive
-    threshold = cfg.u_blowup_threshold
+    threshold = cfg.scheme_params["u_blowup_threshold"]
     if threshold is None:
         threshold = 2e5 * m / np.pi
     base = cfg.replace(**{"grid.gamma": 3, "scheme.u_blowup_threshold": threshold})

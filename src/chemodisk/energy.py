@@ -122,13 +122,12 @@ def loghls_margin(U: RadialField) -> float:
     return free_energy(U, v) - lam * np.log(lam / np.pi)
 
 
-def random_radial_profiles(count: int, grid: Grid, seed: int,
-                           mass_range: tuple[float, float] = (0.4, EIGHT_PI)):
+def random_radial_profiles(count: int, grid: Grid, seed: int):
     """Seeded corpus of smooth nonnegative radial profiles.
 
     Each profile is a constant plus 1-3 Gaussian bumps in r, rejection
-    sampled for positivity and rescaled to a target mass drawn from
-    mass_range.
+    sampled for positivity and rescaled to a target mass drawn uniformly
+    from [0.4, 8*pi].
     """
     rng = np.random.default_rng(seed)
     r = grid.radii
@@ -143,7 +142,7 @@ def random_radial_profiles(count: int, grid: Grid, seed: int,
             u = u + amp * np.exp(-((r - center) ** 2) / (2.0 * width ** 2))
         if u.min() <= 1e-3:
             continue
-        lam = rng.uniform(*mass_range)
+        lam = rng.uniform(0.4, EIGHT_PI)
         raw_mass, _ = _disk_integral(u, r)
         out.append(RadialField(r, u * (lam / raw_mass)))
     return out

@@ -18,8 +18,6 @@ EIGHT_PI = 8.0 * np.pi
 
 # Relative slack allowed when validating monotonicity / bounds of a profile.
 _MONO_TOL = 1e-9
-# Derivative noise below this (relative to m) is clamped to zero.
-_CLAMP_TOL = 1e-12
 
 
 class ProfileError(ValueError):

@@ -52,6 +52,9 @@ _MONO_CLIP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SchemeConfig:
+    """Time-stepping parameters: the one definition of the scheme.* config
+    keys, their defaults and their validity."""
+
     grid: Grid
     dt0: float = 1e-3
     cfl: float = 0.9
@@ -63,13 +66,16 @@ class SchemeConfig:
     def __post_init__(self):
         if not np.all(np.isfinite([self.dt0, self.t_end, self.snapshot_every,
                                    self.threshold(1.0)])):
-            raise ValueError("dt0, t_end, snapshot_every and threshold must be finite")
+            raise ValueError("dt0, t_end, snapshot_every and u_blowup_threshold "
+                             "must be finite")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError("cfl must lie in (0, 1]")
         if not (self.dt0 > self.dt_min > 0.0):
             raise ValueError("dt0 > dt_min > 0 required")
         if self.t_end <= 0.0 or self.snapshot_every <= 0.0:
             raise ValueError("t_end and snapshot_every must be positive")
+        if self.threshold(1.0) <= 0.0:
+            raise ValueError("u_blowup_threshold must be positive")
 
     def threshold(self, m: float) -> float:
         if self.u_blowup_threshold is not None:
@@ -119,28 +125,15 @@ class ComparisonReport:
     steps: int
 
 
-class BlowupDetector:
-    """Threshold plus step-floor blowup criterion.
+def _floor_verdict(sup_u: float, sup_u0: float, threshold: float) -> str:
+    """Verdict of a run whose step fell under dt_min.
 
-    Fires when sup u exceeds the threshold, or when adaptive halving drives
-    dt under the floor while the density has already grown substantially.
+    Blowup if sup u has crossed the threshold or grown tenfold from its
+    initial value, else the step floor.
     """
-
-    def __init__(self, threshold: float, dt_min: float, sup_u0: float,
-                 growth_factor: float = 10.0):
-        self.threshold = threshold
-        self.dt_min = dt_min
-        self.sup_u0 = sup_u0
-        self.growth_factor = growth_factor
-
-    def check(self, sup_u: float, dt: float) -> str | None:
-        if sup_u > self.threshold:
-            return VERDICT_BLOWUP
-        if dt < self.dt_min:
-            if sup_u > self.growth_factor * self.sup_u0:
-                return VERDICT_BLOWUP
-            return VERDICT_STEP_FLOOR
-        return None
+    if sup_u > threshold or sup_u > 10.0 * sup_u0:
+        return VERDICT_BLOWUP
+    return VERDICT_STEP_FLOOR
 
 
 class _Workspace:
@@ -232,19 +225,18 @@ class _Workspace:
         return sup_u, sup_mxi, F, D, secmom, peak_xi
 
 
-def step(M: MassProfile, dt: float, m: float | None = None) -> MassProfile:
+def step(M: MassProfile, dt: float) -> MassProfile:
     """Single time advance of a mass profile (standalone convenience)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    m = M.total_mass if m is None else m
-    ws = _Workspace(M.grid, m)
+    ws = _Workspace(M.grid, M.total_mass)
     ws.lag(M.values)
     out = ws.advance(dt)
     out, _ = ws.repair_monotone(out)
-    return MassProfile(M.grid, out, m)
+    return MassProfile(M.grid, out, M.total_mass)
 
 
-def cfl_limit(M: MassProfile, m: float | None = None) -> float:
+def cfl_limit(M: MassProfile) -> float:
     """Step bound of M: 1 / max_i sqrt(|c_i| |V_i|) / hbar_i.
 
     The implicit step is monotone and order-preserving at every dt, so this
@@ -260,18 +252,17 @@ def cfl_limit(M: MassProfile, m: float | None = None) -> float:
     shorter.  It is proportional to the cell width, so the time error falls
     with h.  inf when nothing moves (c = 0 or W M = 0 at every node).
     """
-    m = M.total_mass if m is None else m
-    return _Workspace(M.grid, m).lag(M.values)
+    return _Workspace(M.grid, M.total_mass).lag(M.values)
 
 
-def simulate(config: SchemeConfig, M0: MassProfile, m: float | None = None) -> SimulationTrace:
+def simulate(config: SchemeConfig, M0: MassProfile) -> SimulationTrace:
     """Adaptive integration of the mass equation up to t_end or termination.
 
     dt grows geometrically toward cfl * cfl_limit; nonfinite output or
     a diagnostic spike halves dt and retries.  All failure modes become
     verdicts; identical inputs produce a bit-identical trace.
     """
-    m = M0.total_mass if m is None else float(m)
+    m = M0.total_mass
     ws = _Workspace(config.grid, m)
     threshold = config.threshold(m)
 
@@ -281,9 +272,8 @@ def simulate(config: SchemeConfig, M0: MassProfile, m: float | None = None) -> S
     diag = ws.diagnostics(M)
     trace.record(t, 0.0, diag)
     trace.snapshots.append((t, MassProfile(config.grid, M.copy(), m)))
-    detector = BlowupDetector(threshold, config.dt_min, diag[0])
     next_snap = config.snapshot_every
-    sup_u_prev = diag[0]
+    sup_u0 = sup_u_prev = diag[0]
 
     dt = min(config.dt0, config.cfl * ws.lag(M))
     while t < config.t_end:
@@ -298,32 +288,28 @@ def simulate(config: SchemeConfig, M0: MassProfile, m: float | None = None) -> S
             diag = ws.diagnostics(trial)
             spike = diag[0] > 10.0 * sup_u_prev and diag[0] > threshold * 1e-3
             ok = np.isfinite(diag[2]) and not spike
-        if not ok:
-            dt *= 0.5
-            if dt < config.dt_min:
-                trace.set_verdict(detector.check(sup_u_prev, dt) or VERDICT_STEP_FLOOR)
+        if ok:
+            if clipped:
+                trace.clip_events += 1
+            M = trial
+            t += dt_eff
+            trace.record(t, dt_eff, diag)
+            sup_u_prev = diag[0]
+            if diag[0] > threshold:
+                trace.set_verdict(VERDICT_BLOWUP)
                 trace.blowup_time = t
+                trace.blowup_xi = diag[5]
+                trace.snapshots.append((t, MassProfile(config.grid, M.copy(), m)))
                 break
-            continue
-        if clipped:
-            trace.clip_events += 1
-        M = trial
-        t += dt_eff
-        trace.record(t, dt_eff, diag)
-        sup_u_prev = diag[0]
-        if diag[0] > threshold:
-            trace.set_verdict(VERDICT_BLOWUP)
-            trace.blowup_time = t
-            trace.blowup_xi = diag[5]
-            trace.snapshots.append((t, MassProfile(config.grid, M.copy(), m)))
-            break
-        if t >= next_snap - 1e-12:
-            trace.snapshots.append((t, MassProfile(config.grid, M.copy(), m)))
-            while next_snap <= t + 1e-12:
-                next_snap += config.snapshot_every
-        dt = min(1.5 * dt, config.cfl * ws.lag(M))
+            if t >= next_snap - 1e-12:
+                trace.snapshots.append((t, MassProfile(config.grid, M.copy(), m)))
+                while next_snap <= t + 1e-12:
+                    next_snap += config.snapshot_every
+            dt = min(1.5 * dt, config.cfl * ws.lag(M))
+        else:
+            dt *= 0.5
         if dt < config.dt_min:
-            trace.set_verdict(detector.check(sup_u_prev, dt) or VERDICT_STEP_FLOOR)
+            trace.set_verdict(_floor_verdict(sup_u_prev, sup_u0, threshold))
             trace.blowup_time = t
             break
     else:

@@ -21,6 +21,12 @@ from .barriers import (SuperBarrier, SubBarrier, default_derivative_bound,
                        find_dominating_super, find_dominated_sub,
                        separation_margin, stationary_operator)
 
+# Newton stops at max|Q(W)| or max|delta| below this times m
+_NEWTON_TOL_REL = 1e-10
+_NEWTON_MAX_ITER = 100
+# sampled parameters per barrier family in the uniqueness sweep
+_SWEEP_SAMPLES = 50
+
 
 @dataclass(frozen=True)
 class NewtonResult:
@@ -53,10 +59,9 @@ class LongtimeReport:
     decay_rate: float
 
 
-def stationary_residual(W: MassProfile, m: float | None = None) -> np.ndarray:
+def stationary_residual(W: MassProfile) -> np.ndarray:
     """Q applied nodewise at interior nodes via the grid's stencil."""
-    m = W.total_mass if m is None else float(m)
-    return _residual_arrays(W.values, W.grid, m)
+    return _residual_arrays(W.values, W.grid, W.total_mass)
 
 
 def _residual_arrays(w, grid: Grid, m):
@@ -84,9 +89,7 @@ def _jacobian_banded(w, grid: Grid, m):
     return ab
 
 
-def solve_stationary_newton(m: float, init: MassProfile,
-                            tol_rel: float = 1e-10,
-                            max_iter: int = 100) -> NewtonResult:
+def solve_stationary_newton(m: float, init: MassProfile) -> NewtonResult:
     """Damped Newton on the discretized stationary problem.
 
     Endpoints stay pinned at 0 and m; iterates are clipped to [0, m] and
@@ -95,14 +98,14 @@ def solve_stationary_newton(m: float, init: MassProfile,
     ``M_t = -Q(M)`` from ``s = max|R|/m``; s doubles on a step that doubles
     ``|R|``, else scales by ``|R_new|/|R_old|``, and Newton resumes at s <
     1e-12 (pseudo-transient continuation, Kelley & Keyes 1998; switched
-    evolution relaxation, Mulder & van Leer 1985).  Non-convergence is
-    reported in the result, not raised.
+    evolution relaxation, Mulder & van Leer 1985).  Non-convergence after
+    100 iterations is reported in the result, not raised.
 
     Two tests stop the iteration with ``converged=True``:
 
-    - residual: ``max|Q(W)| < tol_rel*m``;
+    - residual: ``max|Q(W)| < 1e-10*m``;
     - step size: the full Newton update satisfies ``max|delta| <=
-      tol_rel*m``.  The update is Newton's estimate of the iterate's error,
+      1e-10*m``.  The update is Newton's estimate of the iterate's error,
       so it is taken whole (and clipped to [0, m]) and the error left is
       O(|delta|^2) plus rounding.  A small shifted update does not count.
 
@@ -116,7 +119,7 @@ def solve_stationary_newton(m: float, init: MassProfile,
     w = np.clip(init.values.copy(), 0.0, m)
     w[0] = 0.0
     w[-1] = m
-    tol = tol_rel * m
+    tol = _NEWTON_TOL_REL * m
     norms = []
     dists = []
 
@@ -139,7 +142,7 @@ def solve_stationary_newton(m: float, init: MassProfile,
     shifted_steps = 0
     slow = 0
     converged = norms[-1] < tol
-    while not converged and it < max_iter:
+    while not converged and it < _NEWTON_MAX_ITER:
         ab = _jacobian_banded(w, grid, m)
         try:
             delta = solve_banded((1, 1), ab + [[0.0], [shift], [0.0]], -res,
@@ -188,23 +191,22 @@ def solve_stationary_newton(m: float, init: MassProfile,
                         dist, shifted_steps)
 
 
-def uniqueness_sweep(W: MassProfile, m: float | None = None,
-                     n_samples: int = 50, param_max: float = 1e3) -> SweepReport:
+def uniqueness_sweep(W: MassProfile, param_max: float = 1e3) -> SweepReport:
     """Slide both barrier families from their envelope seeds out to param_max.
 
     The continuum argument proves the admissible parameter set is all of
-    (0, infinity); numerically we sample log-spaced parameters, check the
-    nodewise ordering at each, and track separation margins.  A sandwiched
+    (0, infinity); numerically we sample 50 log-spaced parameters per family,
+    check the nodewise ordering at each, and track separation margins.  A sandwiched
     conclusion pins W to within the family gap at the sampled extremes.
     """
-    m = W.total_mass if m is None else float(m)
+    m = W.total_mass
     xi = W.grid.nodes
     C = max(default_derivative_bound(W), 2.0 * m)
     violated = None
 
     a0 = find_dominating_super(W, C).a
-    a_values = np.geomspace(a0, param_max, n_samples)
-    super_margins = np.full(n_samples, np.nan)
+    a_values = np.geomspace(a0, param_max, _SWEEP_SAMPLES)
+    super_margins = np.full(_SWEEP_SAMPLES, np.nan)
     for k, a in enumerate(a_values):
         bar = SuperBarrier(a, m).profile(W.grid)
         gap = bar.values - W.values
@@ -214,8 +216,8 @@ def uniqueness_sweep(W: MassProfile, m: float | None = None,
         super_margins[k] = separation_margin(bar, W)
 
     b0 = find_dominated_sub(W, C).b
-    b_values = np.geomspace(b0, param_max, n_samples)
-    sub_margins = np.full(n_samples, np.nan)
+    b_values = np.geomspace(b0, param_max, _SWEEP_SAMPLES)
+    sub_margins = np.full(_SWEEP_SAMPLES, np.nan)
     if violated is None:
         for k, b in enumerate(b_values):
             bar = SubBarrier(b, m).profile(W.grid)
@@ -233,9 +235,9 @@ def uniqueness_sweep(W: MassProfile, m: float | None = None,
                        conclusion, violated, final_gap, fam)
 
 
-def longtime_convergence(trace, m: float | None = None) -> LongtimeReport:
+def longtime_convergence(trace) -> LongtimeReport:
     """Snapshot-wise sup distances to the flat state, with a fitted rate."""
-    m = trace.total_mass if m is None else float(m)
+    m = trace.total_mass
     times, du, dv = [], [], []
     for t, prof in trace.snapshots:
         u = radial.density_from_mass(prof)

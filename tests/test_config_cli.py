@@ -265,3 +265,10 @@ def test_parse_config_rejects_grid_n_above_bound(value):
 
 def test_parse_config_accepts_grid_n_at_bound():
     assert parse_config({"mass": "4pi", "grid.n": 2 ** 20}).n == 2 ** 20
+
+
+def test_garbage_initial_parameter_is_a_usage_error(tmp_path, capsys):
+    code = cli.main(["simulate", "--set", "mass=4pi", "--set", "initial.kind=pks",
+                     "--set", "initial.lambda=abc", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -33,6 +33,8 @@ class TestSchemeConfig:
             _config(Grid.regular(64), dt0=1e-15)
         with pytest.raises(ValueError):
             _config(Grid.regular(64), t_end=-1.0)
+        with pytest.raises(ValueError):
+            _config(Grid.regular(64), u_blowup_threshold=-1.0)
 
 
 class TestStep:
