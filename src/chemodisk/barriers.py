@@ -29,14 +29,9 @@ __all__ = [
 
 
 class DerivativeBoundError(ValueError):
-    """The discrete derivative of a profile escapes the (1/C, C) window."""
-
-    def __init__(self, node: int, value: float, bound: float):
-        self.node = node
-        self.value = value
-        self.bound = bound
-        super().__init__(
-            f"derivative {value:.6g} at node {node} violates (1/C, C) with C={bound:.6g}")
+    """The derivative bound C admits no envelope fit: C <= m, C so large that
+    the envelope margin leaves no room below a chord, or the discrete
+    derivative of the profile escapes the (1/C, C) window."""
 
 
 class DominationError(ValueError):
@@ -175,12 +170,20 @@ def residual_sub_closed_form(b: float, m: float, xi):
 _ENVELOPE_MARGIN = 1e-6
 
 
-def _check_derivative_window(M: MassProfile, C: float):
+def _usable_bound(M: MassProfile, C: float | None) -> float:
+    """C, or the default bound when None, checked against m and the window."""
+    if C is None:
+        C = default_derivative_bound(M)
+    if C <= M.total_mass:
+        raise DerivativeBoundError(
+            f"derivative bound C={C:.6g} must exceed the mass m={M.total_mass:.6g}")
     d = M.grid.stencil.d1_xi(M.values)[1:-1]
     bad = np.where((d <= 1.0 / C) | (d >= C))[0]
     if bad.size:
-        i = int(bad[0]) + 1
-        raise DerivativeBoundError(i, float(d[i - 1]), C)
+        raise DerivativeBoundError(
+            f"derivative {d[bad[0]]:.6g} at node {bad[0] + 1} violates (1/C, C) "
+            f"with C={C:.6g}")
+    return C
 
 
 def default_derivative_bound(M: MassProfile) -> float:
@@ -207,16 +210,15 @@ def find_dominating_super(M: MassProfile, C: float | None = None) -> SuperBarrie
     crossing point xi0 of the two envelope chords determines the largest a
     with value(xi0) exceeding the envelope by a strict margin; concavity
     then pushes the whole barrier above M.  Nodewise domination is checked
-    exhaustively before returning.
+    exhaustively before returning.  Raises DerivativeBoundError when C admits
+    no fit and DominationError when the exhaustive check fails.
     """
     m = M.total_mass
-    if C is None:
-        C = default_derivative_bound(M)
-    if C <= m:
-        raise ValueError(f"derivative bound C={C:.6g} must exceed the mass m={m:.6g}")
-    _check_derivative_window(M, C)
+    C = _usable_bound(M, C)
     xi0 = envelope_crossing_super(m, C)
     y = C * xi0 + _ENVELOPE_MARGIN * m
+    if y >= m:
+        raise DerivativeBoundError("envelope margin exceeds the upper chord; C too large")
     a = xi0 * (y - m) / (m * xi0 - y)
     bar = SuperBarrier(a, m)
     gap = bar.value(M.grid.nodes) - M.values
@@ -229,15 +231,11 @@ def find_dominating_super(M: MassProfile, C: float | None = None) -> SuperBarrie
 def find_dominated_sub(M: MassProfile, C: float | None = None) -> SubBarrier:
     """Mirror of find_dominating_super with the convex family, below M."""
     m = M.total_mass
-    if C is None:
-        C = default_derivative_bound(M)
-    if C <= m:
-        raise ValueError(f"derivative bound C={C:.6g} must exceed the mass m={m:.6g}")
-    _check_derivative_window(M, C)
+    C = _usable_bound(M, C)
     xi0 = envelope_crossing_sub(m, C)
     y = xi0 / C - _ENVELOPE_MARGIN * m
     if y <= 0:
-        raise ValueError("envelope margin exceeds the lower chord; C too large")
+        raise DerivativeBoundError("envelope margin exceeds the lower chord; C too large")
     b = y * (1.0 - xi0) / (m * xi0 - y)
     bar = SubBarrier(b, m)
     gap = M.values - bar.value(M.grid.nodes)

@@ -5,7 +5,9 @@ scenario <name> with names verify-global, dichotomy, blowup, uniqueness,
 check.  ``steady --mass M`` runs the uniqueness probes of the uniqueness
 scenario at the given masses instead of pi, 2pi, 4pi and 8pi.
 Exit codes: 0 all assertions pass, 1 usage error, 2 scientific verdict
-mismatch (for ``simulate``: the run stopped at the step floor).
+mismatch (for ``simulate``: the run stopped at the step floor).  The last
+line of every scenario's summary.txt is its verdict, ``<scenario>=pass|fail``,
+and the exit code follows it: 0 for pass, 2 for fail.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import barriers, csvio, energy, radial, solver, steady
-from .config import ConfigError, ExperimentConfig, parse_config, parse_number
+from .config import ConfigError, ExperimentConfig, _parse_text, parse_config, parse_number
 from .radial import EIGHT_PI, Grid
 from .solver import VERDICT_BLOWUP, VERDICT_COMPLETED, VERDICT_STEP_FLOOR
 
@@ -76,8 +78,8 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> tuple:
         "energy_budget_residual": audit.budget_residual,
         "second_moment_initial": trace.second_moment[0],
         "clip_events": trace.clip_events,
-        "blowup_time": "" if trace.blowup_time is None else trace.blowup_time,
-        "blowup_xi": "" if trace.blowup_xi is None else trace.blowup_xi,
+        "blowup_time": trace.blowup_time,
+        "blowup_xi": trace.blowup_xi,
     }
     return trace, summary
 
@@ -86,14 +88,12 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> tuple:
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _confinement(trace, bar, m, t_from) -> float:
-    """Worst overshoot above the barrier among snapshots at t >= t_from."""
-    worst = -np.inf
-    for t, prof in trace.snapshots:
-        if t < t_from:
-            continue
-        worst = max(worst, float((prof.values - bar.value(prof.xi)).max()))
-    return worst
+def _verdict(name: str, out_dir, summary: dict, ok: bool, traces=()) -> ScenarioResult:
+    """End a scenario: ``name=pass|fail`` as the last summary entry, the
+    summary written to summary.txt, and exit code 0 or 2 to match."""
+    summary[name] = "pass" if ok else "fail"
+    csvio.write_summary(Path(out_dir) / "summary.txt", summary)
+    return ScenarioResult(0 if ok else 2, summary, list(traces))
 
 
 def scenario_verify_global(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
@@ -102,29 +102,28 @@ def scenario_verify_global(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
     trace, summary = run_simulation(cfg, out_dir)
     m = cfg.mass
     positive = [(t, p) for t, p in trace.snapshots if t > 0]
-    code = 0 if trace.verdict == VERDICT_COMPLETED else 2
+    ok = trace.verdict == VERDICT_COMPLETED
     if positive:
         t1, first = positive[0]
         try:
             bar = barriers.find_dominating_super(first)
-            overshoot = _confinement(trace, bar, m, t1)
+        except (barriers.DerivativeBoundError, barriers.DominationError) as exc:
+            summary["barrier_confinement"] = f"error: {exc}"
+            ok = False
+        else:
+            overshoot = max(float((p.values - bar.value(p.xi)).max())
+                            for _, p in positive)
             confined = overshoot <= CONFINE_TOL * m
-            sup_mxi_after = max(s for t, s in zip(trace.times, trace.sup_m_over_xi)
-                                if t >= t1)
+            ok = ok and confined
             summary.update({
                 "barrier_a": bar.a,
                 "barrier_bound_m_over_xi": m * (bar.a + 1.0) / bar.a,
                 "barrier_confinement": "pass" if confined else "fail",
                 "barrier_overshoot": overshoot,
-                "sup_m_over_xi_after_snapshot": sup_mxi_after,
+                "sup_m_over_xi_after_snapshot": max(
+                    s for t, s in zip(trace.times, trace.sup_m_over_xi) if t >= t1),
             })
-            if not confined:
-                code = 2
-        except (barriers.DerivativeBoundError, barriers.DominationError) as exc:
-            summary["barrier_confinement"] = f"error: {exc}"
-            code = 2
-    csvio.write_summary(Path(out_dir) / "summary.txt", summary)
-    return ScenarioResult(code, summary, [trace])
+    return _verdict("verify-global", out_dir, summary, ok, [trace])
 
 
 def scenario_dichotomy(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
@@ -133,21 +132,18 @@ def scenario_dichotomy(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
     out = Path(out_dir)
     m_low = cfg.mass
     m_high = 10.0 * np.pi if m_low < 10.0 * np.pi else 1.25 * m_low
-    trace_lo, sum_lo = run_simulation(cfg, out / "subcritical")
-    cfg_hi = cfg.replace(mass=m_high)
-    trace_hi, sum_hi = run_simulation(cfg_hi, out / "supercritical")
-    ok = (trace_lo.verdict == VERDICT_COMPLETED
-          and trace_hi.verdict == VERDICT_BLOWUP)
+    trace_lo, _ = run_simulation(cfg, out / "subcritical")
+    trace_hi, _ = run_simulation(cfg.replace(mass=m_high), out / "supercritical")
     summary = {
         "mass_low": m_low,
         "mass_high": m_high,
         "verdict_low": trace_lo.verdict,
         "verdict_high": trace_hi.verdict,
-        "blowup_time_high": "" if trace_hi.blowup_time is None else trace_hi.blowup_time,
-        "dichotomy": "pass" if ok else "fail",
+        "blowup_time_high": trace_hi.blowup_time,
     }
-    csvio.write_summary(out / "summary.txt", summary)
-    return ScenarioResult(0 if ok else 2, summary, [trace_lo, trace_hi])
+    ok = (trace_lo.verdict == VERDICT_COMPLETED
+          and trace_hi.verdict == VERDICT_BLOWUP)
+    return _verdict("dichotomy", out, summary, ok, [trace_lo, trace_hi])
 
 
 def _newton_inits(m, grid, seed):
@@ -193,12 +189,10 @@ def run_uniqueness_probes(m, grid, seed, out_dir):
                      ["family", "parameter", "min_margin", "verdict"], sweep_rows)
     all_conv = all(r.converged and r.distance_to_linear < 1e-8 * m for r in results)
     return {
-        "mass": m,
         "all_converged": all_conv,
         "max_distance": max(r.distance_to_linear for r in results),
         "sweep_conclusion": sweep.conclusion,
         "sweep_final_gap": sweep.final_gap,
-        "sweep_family_bound": sweep.family_gap_bound,
     }
 
 
@@ -216,17 +210,14 @@ def scenario_uniqueness(cfg: ExperimentConfig, out_dir,
         summary[f"max_distance_{tag}"] = rep["max_distance"]
         summary[f"sweep_{tag}"] = rep["sweep_conclusion"]
         ok = ok and rep["all_converged"] and rep["sweep_conclusion"] == "sandwiched"
-    summary["uniqueness"] = "pass" if ok else "fail"
-    csvio.write_summary(out / "summary.txt", summary)
-    return ScenarioResult(0 if ok else 2, summary, [])
+    return _verdict("uniqueness", out, summary, ok)
 
 
 def scenario_check(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
     """Condensed invariant suite over every module; prints PASS/FAIL lines."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    checks = []
-    rng = np.random.default_rng(cfg.seed)
+    checks = {}
     grid = Grid.regular(256)
     m = cfg.mass
 
@@ -241,7 +232,7 @@ def scenario_check(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
             ok &= bool((closed > 0).all())
             ok &= bool((np.abs(closed - fd) <= 1e-6 * np.abs(closed)).all())
             ok &= bool((barriers.residual_sub_closed_form(a, mm, xi) < 0).all())
-    checks.append(("barrier_residuals", ok))
+    checks["barrier_residuals"] = ok
 
     # transform round trip and moment identity
     fields = energy.random_radial_profiles(5, grid, cfg.seed)
@@ -256,7 +247,7 @@ def scenario_check(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
         rhs, est = radial.trapezoid(2 * np.pi * field.values * r ** 3, r)
         _, est2 = radial.trapezoid(M.values, grid.nodes)
         ok &= bool(abs(lhs - rhs) <= 10 * (est + est2) + 1e-12 * lam)
-    checks.append(("transform_identities", ok))
+    checks["transform_identities"] = ok
 
     # gradient bound and zero-average potential
     ok = True
@@ -269,33 +260,29 @@ def scenario_check(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
         v = radial.potential_from_slope(s)
         avg, est = radial.trapezoid(v.values, grid.nodes)
         ok &= bool(abs(avg) < max(est, 1e-12))
-    checks.append(("potential_reconstruction", ok))
+    checks["potential_reconstruction"] = ok
 
     # discrete comparison on one ordered pair
     low = barriers.SubBarrier(1.0, m).profile(grid)
     up = radial.preset_profile("barrier", m, grid, a=0.5)
-    rep = solver.verify_discrete_comparison(low, up, m, 0.25, cfg.scheme(grid))
-    checks.append(("discrete_comparison", rep.max_violation <= 1e-10 * m))
+    rep = solver.verify_discrete_comparison(low, up, 0.25, cfg.scheme(grid))
+    checks["discrete_comparison"] = rep.max_violation <= 1e-10 * m
 
     # stationary fixed point
     line = radial.preset_profile("constant", m, grid)
     res = steady.stationary_residual(line)
-    checks.append(("stationary_fixed_point", float(np.abs(res).max()) < 1e-10 * m))
+    checks["stationary_fixed_point"] = float(np.abs(res).max()) < 1e-10 * m
 
     # log-HLS margins on a random corpus
     corpus = energy.random_radial_profiles(20, Grid.regular(512), cfg.seed + 1)
     margins = [energy.loghls_margin(field) for field in corpus]
-    checks.append(("loghls_margin", min(margins) >= -1e-6))
+    checks["loghls_margin"] = min(margins) >= -1e-6
 
-    rows = [(name, "pass" if okay else "fail") for name, okay in checks]
-    csvio.write_rows(out / "check.csv", ["check", "status"], rows)
-    for name, okay in checks:
-        print(f"{name}: {'PASS' if okay else 'FAIL'}")
-    all_ok = all(okay for _, okay in checks)
-    summary = dict(rows)
-    summary["check"] = "pass" if all_ok else "fail"
-    csvio.write_summary(out / "summary.txt", summary)
-    return ScenarioResult(0 if all_ok else 2, summary, [])
+    summary = {name: "pass" if okay else "fail" for name, okay in checks.items()}
+    csvio.write_rows(out / "check.csv", ["check", "status"], summary.items())
+    for name, status in summary.items():
+        print(f"{name}: {status.upper()}")
+    return _verdict("check", out, summary, all(checks.values()))
 
 
 def scenario_blowup(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
@@ -320,23 +307,28 @@ def scenario_blowup(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
     fine = base.replace(**{"grid.n": 1024})
     doubled = fine.replace(**{"scheme.u_blowup_threshold": 2.0 * threshold})
 
-    trace_c, sum_c = run_simulation(coarse, out / "n512")
-    trace_f, sum_f = run_simulation(fine, out / "n1024")
-    trace_d, sum_d = run_simulation(doubled, out / "n1024_doubled")
-
-    def peak_at_innermost(trace, child):
-        return (trace.blowup_xi is not None
-                and trace.blowup_xi == child.grid().nodes[1])
-
-    ok = (trace_c.verdict == VERDICT_BLOWUP and trace_f.verdict == VERDICT_BLOWUP
-          and trace_d.verdict == VERDICT_BLOWUP)
-    checks = {}
+    trace_c, _ = run_simulation(coarse, out / "n512")
+    trace_f, _ = run_simulation(fine, out / "n1024")
+    trace_d, _ = run_simulation(doubled, out / "n1024_doubled")
+    traces = [trace_c, trace_f, trace_d]
+    summary = {
+        "threshold": threshold,
+        "verdict_n512": trace_c.verdict,
+        "verdict_n1024": trace_f.verdict,
+        "verdict_doubled": trace_d.verdict,
+        "blowup_time_n512": trace_c.blowup_time,
+        "blowup_time_n1024": trace_f.blowup_time,
+        "blowup_time_doubled": trace_d.blowup_time,
+        "peak_n512": max(trace_c.sup_u),
+        "peak_n1024": max(trace_f.sup_u),
+    }
+    ok = all(trace.verdict == VERDICT_BLOWUP for trace in traces)
     if ok:
-        checks["peak_innermost"] = (peak_at_innermost(trace_c, coarse)
-                                    and peak_at_innermost(trace_f, fine))
+        summary["peak_innermost"] = (trace_c.blowup_xi == coarse.grid().nodes[1]
+                                     and trace_f.blowup_xi == fine.grid().nodes[1])
         shift = abs(trace_d.blowup_time - trace_f.blowup_time) / trace_f.blowup_time
-        checks["threshold_doubling_shift"] = shift
-        checks["threshold_doubling_ok"] = shift < 0.10
+        summary["threshold_doubling_shift"] = shift
+        summary["threshold_doubling_ok"] = shift < 0.10
         # peak growth under refinement, compared at the common time at
         # which the fine grid first detects; a grid-converged (bounded)
         # solution would show matching peaks there
@@ -344,26 +336,12 @@ def scenario_blowup(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
         idx = max(i for i, t in enumerate(trace_c.times) if t <= t_star)
         peak_coarse_common = trace_c.sup_u[idx]
         peak_fine_common = max(trace_f.sup_u)
-        checks["peak_at_common_time_n512"] = peak_coarse_common
-        checks["peak_at_common_time_n1024"] = peak_fine_common
-        checks["peak_growth_ok"] = peak_fine_common > peak_coarse_common
-        ok = (checks["peak_innermost"] and checks["threshold_doubling_ok"]
-              and checks["peak_growth_ok"])
-    summary = {
-        "threshold": threshold,
-        "verdict_n512": trace_c.verdict,
-        "verdict_n1024": trace_f.verdict,
-        "verdict_doubled": trace_d.verdict,
-        "blowup_time_n512": "" if trace_c.blowup_time is None else trace_c.blowup_time,
-        "blowup_time_n1024": "" if trace_f.blowup_time is None else trace_f.blowup_time,
-        "blowup_time_doubled": "" if trace_d.blowup_time is None else trace_d.blowup_time,
-        "peak_n512": max(trace_c.sup_u),
-        "peak_n1024": max(trace_f.sup_u),
-        "blowup": "pass" if ok else "fail",
-    }
-    summary.update({k: v for k, v in checks.items()})
-    csvio.write_summary(out / "summary.txt", summary)
-    return ScenarioResult(0 if ok else 2, summary, [trace_c, trace_f, trace_d])
+        summary["peak_at_common_time_n512"] = peak_coarse_common
+        summary["peak_at_common_time_n1024"] = peak_fine_common
+        summary["peak_growth_ok"] = peak_fine_common > peak_coarse_common
+        ok = (summary["peak_innermost"] and summary["threshold_doubling_ok"]
+              and summary["peak_growth_ok"])
+    return _verdict("blowup", out, summary, ok, traces)
 
 
 _SCENARIOS = {
@@ -416,25 +394,17 @@ def run_sweep(cfg: ExperimentConfig, axis_key: str, axis_values, out_dir) -> Pat
 # ---------------------------------------------------------------------------
 
 def _load_config(args, default_mass=None) -> ExperimentConfig:
-    doc = {}
+    """One document from the default mass, the --config file and the --set
+    entries, each overriding the one before, parsed once."""
+    doc = {} if default_mass is None else {"mass": default_mass}
     if args.config:
-        doc = Path(args.config).read_text()
-        cfg = parse_config(doc)
-    else:
-        cfg = None
-    overrides = {}
+        doc.update(_parse_text(Path(args.config).read_text()))
     for item in args.set or []:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    if cfg is None:
-        if default_mass is not None:
-            overrides.setdefault("mass", default_mass)
-        return parse_config(overrides)
-    if overrides:
-        cfg = cfg.replace(**overrides)
-    return cfg
+        doc[key.strip()] = value.strip()
+    return parse_config(doc)
 
 
 def _add_config_options(sub):

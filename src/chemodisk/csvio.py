@@ -60,21 +60,24 @@ def read_trace(path) -> dict[str, np.ndarray]:
     return {name: np.asarray(col) for name, col in zip(header, cols)}
 
 
+def _cell(value) -> str:
+    """One CSV or summary cell: floats at 17 digits, None empty, anything
+    else as str."""
+    if isinstance(value, float):
+        return fmt(value)
+    return "" if value is None else str(value)
+
+
 def write_rows(path, header, rows) -> None:
     """Generic CSV with 17-digit floats; strings pass through unchanged."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([cell if isinstance(cell, str) else fmt(cell)
-                             for cell in row])
+            writer.writerow([_cell(cell) for cell in row])
 
 
 def write_summary(path, entries: dict) -> None:
     """Plain key=value summary file with deterministic ordering."""
-    lines = []
-    for key, value in entries.items():
-        if isinstance(value, float):
-            value = fmt(value)
-        lines.append(f"{key}={value}")
+    lines = [f"{key}={_cell(value)}" for key, value in entries.items()]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -320,11 +320,14 @@ def simulate(config: SchemeConfig, M0: MassProfile) -> SimulationTrace:
 
 
 def verify_discrete_comparison(lower0: MassProfile, upper0: MassProfile,
-                               m: float, T: float,
-                               config: SchemeConfig) -> ComparisonReport:
+                               T: float, config: SchemeConfig) -> ComparisonReport:
     """Co-evolve an ordered pair with identical steps; report worst violation."""
     if lower0.grid != upper0.grid:
         raise ValueError("profiles must share a grid")
+    m = lower0.total_mass
+    if upper0.total_mass != m:
+        raise ValueError(f"profiles must share a mass, got {m:.6g} and "
+                         f"{upper0.total_mass:.6g}")
     gap0 = upper0.values - lower0.values
     if gap0.min() < -1e-14 * m:
         raise ValueError(f"initial ordering violated by {-gap0.min():.3g}")

@@ -82,7 +82,7 @@ def test_discrete_comparison_random_pairs():
         lo = MassProfile(grid, np.minimum(Ma.values, vals_b), m)
         up = MassProfile(grid, np.maximum(Ma.values, vals_b), m)
         cfg = solver.SchemeConfig(grid=grid, t_end=1.0, snapshot_every=1.0)
-        rep = solver.verify_discrete_comparison(lo, up, m, 1.0, cfg)
+        rep = solver.verify_discrete_comparison(lo, up, 1.0, cfg)
         assert rep.max_violation <= 1e-10 * m
         worst = max(worst, rep.max_violation)
     assert worst <= 1e-10 * M8

@@ -136,6 +136,15 @@ class TestEnvelopeFits:
         with pytest.raises(DerivativeBoundError):
             find_dominating_super(M, C=1.5 * M8)
 
+    @pytest.mark.parametrize("fit", [find_dominating_super, find_dominated_sub])
+    def test_rejects_bound_too_large_for_the_envelope_margin(self, fit):
+        # the derivative window (1/C, C) holds, but the 1e-6*m margin exceeds
+        # the room C leaves between the chords once C > 1/(1e-6*m)
+        grid = Grid.regular(256)
+        M = preset_profile("constant", 4.0 * np.pi, grid)
+        with pytest.raises(DerivativeBoundError, match="C too large"):
+            fit(M, C=1e6)
+
 
 class TestSeparation:
     def test_positive_margin(self):

@@ -169,6 +169,21 @@ class TestCli:
         rows = (tmp_path / "out" / "snap_0.csv").read_text().splitlines()
         assert len(rows) == 1 + 33  # header plus nodes of the overridden grid
 
+    def test_set_supplies_a_key_the_config_file_lacks(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("grid.n = 32\nscheme.t_end = 0.25\n")
+        code = cli.main(["simulate", "--config", str(cfg_file),
+                         "--set", "mass=4pi", "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "verdict=completed" in (tmp_path / "out" / "summary.txt").read_text()
+
+    def test_steady_supplies_its_default_mass_to_a_config_file(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("grid.n = 64\n")
+        code = cli.main(["steady", "--config", str(cfg_file), "--mass", "2pi",
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+
     def test_barrier_audit_command(self, tmp_path):
         out = tmp_path / "audit.csv"
         code = cli.main(["barrier", "--out", str(out),

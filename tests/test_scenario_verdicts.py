@@ -1,0 +1,48 @@
+"""Every scenario ends its summary.txt in ``<scenario>=pass|fail``, and the
+exit code of ``chemodisk scenario`` follows that last line."""
+
+import pytest
+
+from chemodisk import cli
+
+# the supercritical concentrated run that collapses at t = 0.020, where the
+# derivative bound of the first snapshot leaves no room for a barrier fit
+COLLAPSING_VERIFY_GLOBAL = ["--set", "mass=10pi", "--set", "initial.kind=barrier",
+                            "--set", "initial.a=0.01", "--set", "grid.gamma=3",
+                            "--set", "scheme.t_end=1"]
+
+CASES = [
+    ("verify-global", ["--set", "mass=8pi", "--set", "grid.n=64",
+                       "--set", "initial.kind=pks", "--set", "initial.lambda=0.3",
+                       "--set", "scheme.t_end=2"], "pass"),
+    ("verify-global", COLLAPSING_VERIFY_GLOBAL, "fail"),
+    ("dichotomy", ["--set", "mass=8pi", "--set", "initial.kind=pks",
+                   "--set", "initial.lambda=0.2", "--set", "grid.gamma=3",
+                   "--set", "grid.n=128"], "pass"),
+    ("dichotomy", ["--set", "mass=8pi", "--set", "grid.n=64"], "fail"),
+    ("blowup", ["--set", "mass=10pi", "--set", "initial.kind=barrier",
+                "--set", "initial.a=0.01"], "pass"),
+    ("blowup", ["--set", "mass=4pi", "--set", "scheme.t_end=1"], "fail"),
+    ("uniqueness", ["--set", "mass=8pi", "--set", "grid.n=64"], "pass"),
+    ("check", ["--set", "mass=4pi"], "pass"),
+]
+
+
+@pytest.mark.parametrize("name,args,verdict", CASES,
+                         ids=[f"{name}-{verdict}" for name, _, verdict in CASES])
+def test_last_summary_line_is_the_verdict_and_sets_the_exit_code(
+        tmp_path, capsys, name, args, verdict):
+    code = cli.main(["scenario", name, *args, "--out", str(tmp_path)])
+    last = (tmp_path / "summary.txt").read_text().splitlines()[-1]
+    assert last == f"{name}={verdict}"
+    assert code == (0 if verdict == "pass" else 2)
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_global_reports_an_unfittable_snapshot(tmp_path):
+    code = cli.main(["scenario", "verify-global", *COLLAPSING_VERIFY_GLOBAL,
+                     "--out", str(tmp_path)])
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    assert code == 2
+    assert any(line.startswith("barrier_confinement=error: ") for line in lines)
+    assert lines[-1] == "verify-global=fail"

@@ -144,14 +144,14 @@ class TestComparison:
         m = 4.0 * np.pi
         lo = SubBarrier(1.0, m).profile(grid)
         up = SuperBarrier(0.5, m).profile(grid)
-        rep = verify_discrete_comparison(lo, up, m, 0.5, _config(grid))
+        rep = verify_discrete_comparison(lo, up, 0.5, _config(grid))
         assert rep.max_violation <= 1e-10 * m
         assert rep.steps > 0
 
     def test_identical_pair_trivial(self):
         grid = Grid.regular(128)
         M = preset_profile("pks", M8, grid, lam=0.5)
-        rep = verify_discrete_comparison(M, M, M8, 0.2, _config(grid))
+        rep = verify_discrete_comparison(M, M, 0.2, _config(grid))
         assert rep.max_violation == 0.0
 
     def test_rejects_unordered_initial_data(self):
@@ -160,14 +160,22 @@ class TestComparison:
         lo = SuperBarrier(0.5, m).profile(grid)
         up = SubBarrier(1.0, m).profile(grid)
         with pytest.raises(ValueError):
-            verify_discrete_comparison(lo, up, m, 0.1, _config(grid))
+            verify_discrete_comparison(lo, up, 0.1, _config(grid))
 
     def test_rejects_mismatched_grids(self):
         m = 4.0 * np.pi
         lo = SubBarrier(1.0, m).profile(Grid.regular(128))
         up = SuperBarrier(0.5, m).profile(Grid.regular(64))
         with pytest.raises(ValueError):
-            verify_discrete_comparison(lo, up, m, 0.1, _config(Grid.regular(128)))
+            verify_discrete_comparison(lo, up, 0.1, _config(Grid.regular(128)))
+
+    def test_rejects_mismatched_masses(self):
+        # ordered as arrays, but two different equations: 4pi*xi below 8pi*xi
+        grid = Grid.regular(64)
+        lo = preset_profile("constant", 4.0 * np.pi, grid)
+        up = preset_profile("constant", M8, grid)
+        with pytest.raises(ValueError, match="mass"):
+            verify_discrete_comparison(lo, up, 0.1, _config(grid))
 
 
 class TestBarrierConfinement:
