@@ -3,11 +3,13 @@
 Subcommands: simulate, barrier, steady, energy-audit, sweep, and
 scenario <name> with names verify-global, dichotomy, blowup, uniqueness,
 check.  ``steady --mass M`` runs the uniqueness probes of the uniqueness
-scenario at the given masses instead of pi, 2pi, 4pi and 8pi.
-Exit codes: 0 all assertions pass, 1 usage error, 2 scientific verdict
-mismatch (for ``simulate``: the run stopped at the step floor).  The last
-line of every scenario's summary.txt is its verdict, ``<scenario>=pass|fail``,
-and the exit code follows it: 0 for pass, 2 for fail.
+scenario at the given masses instead of pi, 2pi, 4pi and 8pi; without
+``--mass`` it runs them at the config's mass, 8pi unless set.
+Exit codes: 0 all assertions pass, 1 usage error (a bad option or config
+value, refused before any run starts), 2 scientific verdict mismatch (for
+``simulate``: the run stopped at the step floor).  The last line of every
+scenario's summary.txt is its verdict, ``<scenario>=pass|fail``, and the
+exit code follows it: 0 for pass, 2 for fail.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ def run_uniqueness_probes(m, grid, seed, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tag = f"{m:.6g}"
-    results = [steady.solve_stationary_newton(m, init)
+    results = [steady.solve_stationary_newton(init)
                for init in _newton_inits(m, grid, seed)]
     rows = []
     for j, res in enumerate(results):
@@ -226,7 +228,8 @@ def scenario_check(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
     xi = np.linspace(0.02, 0.98, 25)
     ok = True
     for a in a_vals:
-        for mm in np.linspace(m / 4, min(m, EIGHT_PI), 4):
+        # the closed-form residual signs hold for masses up to 8*pi
+        for mm in np.linspace(min(m, EIGHT_PI) / 4, min(m, EIGHT_PI), 4):
             closed = barriers.residual_super_closed_form(a, mm, xi)
             fd = barriers.apply_q(barriers.SuperBarrier(a, mm), mm, xi, method="fd")
             ok &= bool((closed > 0).all())
@@ -382,7 +385,7 @@ def run_sweep(cfg: ExperimentConfig, axis_key: str, axis_values, out_dir) -> Pat
             rows.append((idx, shown, summary["verdict"],
                          summary["t_final"], summary["final_sup_u"],
                          summary["blowup_time"], ""))
-        except (ConfigError, ValueError, radial.ProfileError) as exc:
+        except ValueError as exc:  # ConfigError and ProfileError included
             rows.append((idx, str(value), "", "", "", "", str(exc)))
     path = out / "sweep.csv"
     csvio.write_rows(path, header, rows)
@@ -407,6 +410,13 @@ def _load_config(args, default_mass=None) -> ExperimentConfig:
     return parse_config(doc)
 
 
+def _count(text: str) -> int:
+    """argparse type of a sample count: an integer >= 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_config_options(sub):
     sub.add_argument("--config", help="path to a key=value config file")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -429,9 +439,9 @@ def build_parser() -> _Parser:
 
     sp = subs.add_parser("barrier")
     sp.add_argument("--out", default="barrier_audit.csv")
-    sp.add_argument("--na", type=int, default=30)
-    sp.add_argument("--nm", type=int, default=8)
-    sp.add_argument("--nxi", type=int, default=100)
+    sp.add_argument("--na", type=_count, default=30)
+    sp.add_argument("--nm", type=_count, default=8)
+    sp.add_argument("--nxi", type=_count, default=100)
 
     sp = subs.add_parser("steady")
     sp.add_argument("--mass", action="append", help="mass (repeatable), e.g. 8pi")
@@ -488,7 +498,8 @@ def main(argv=None) -> int:
         if args.command == "scenario":
             return run_scenario(args.name, cfg, out_dir).exit_code
         if args.command == "steady":
-            masses = [parse_number(tok) for tok in (args.mass or ["8pi"])]
+            masses = ([cfg.replace(mass=tok).mass for tok in args.mass] if args.mass
+                      else [cfg.mass])
             return scenario_uniqueness(cfg, out_dir, masses).exit_code
         if args.command == "sweep":
             if "=" not in args.axis:

@@ -41,13 +41,15 @@ def _parse_integer(token) -> int:
 # the scheme.* keys are the fields of SchemeConfig, with its defaults
 _SCHEME_FIELDS = [f for f in fields(SchemeConfig) if f.name != "grid"]
 
+# the initial.* parameter keys and the preset_profile parameters they set
+_PRESET_PARAMS = {"initial.lambda": "lam", "initial.a": "a"}
+
 _DEFAULTS = {
     "grid.n": 512,
     "grid.gamma": 1.0,
     **{f"scheme.{f.name}": f.default for f in _SCHEME_FIELDS},
     "initial.kind": "constant",
-    "initial.lambda": None,
-    "initial.a": None,
+    **dict.fromkeys(_PRESET_PARAMS),
     "output.dir": "out",
     "seed": 0,
 }
@@ -103,7 +105,8 @@ def parse_config(document) -> ExperimentConfig:
 
     Missing keys get defaults; unknown keys and out-of-range values are
     rejected before any run starts.  The scheme values are checked by
-    SchemeConfig itself.
+    SchemeConfig itself, and the mass and the initial.* keys by
+    preset_profile, which builds the initial profile once here.
     """
     if isinstance(document, str):
         document = _parse_text(document)
@@ -130,8 +133,6 @@ def parse_config(document) -> ExperimentConfig:
     n = number("grid.n", _parse_integer)
     gamma = number("grid.gamma")
     seed = number("seed", _parse_integer)
-    if not 0 < mass < np.inf:
-        raise ConfigError("mass must be positive and finite")
     if not 16 <= n <= 2 ** 20:  # a run costs O(n^2) time
         raise ConfigError("grid.n must lie in [16, 2**20]")
     if not (1.0 <= gamma <= 3.0):
@@ -139,36 +140,17 @@ def parse_config(document) -> ExperimentConfig:
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
     scheme_params = {f.name: number(f"scheme.{f.name}") for f in _SCHEME_FIELDS}
-    try:
-        SchemeConfig(grid=Grid.regular(n, gamma), **scheme_params)
-    except ValueError as exc:
-        raise ConfigError(f"scheme: {exc}") from exc
-
     kind = str(merged["initial.kind"]).strip()
-    lam = number("initial.lambda")
-    a = number("initial.a")
-    params = {}
-    if kind == "constant":
-        if lam is not None or a is not None:
-            raise ConfigError("constant preset takes no parameters")
-    elif kind == "pks":
-        if lam is None:
-            raise ConfigError("pks preset needs initial.lambda")
-        if a is not None:
-            raise ConfigError("pks preset does not take initial.a")
-        if not 0 < lam < np.inf:
-            raise ConfigError("initial.lambda must be positive and finite")
-        params["lam"] = lam
-    elif kind == "barrier":
-        if a is None:
-            raise ConfigError("barrier preset needs initial.a")
-        if lam is not None:
-            raise ConfigError("barrier preset does not take initial.lambda")
-        if not 0 < a < np.inf:
-            raise ConfigError("initial.a must be positive and finite")
-        params["a"] = a
-    else:
-        raise ConfigError(f"unknown preset kind {kind!r}")
+    params = {name: number(key) for key, name in _PRESET_PARAMS.items()
+              if merged[key] is not None}
+    section = "scheme"
+    try:
+        grid = Grid.regular(n, gamma)
+        SchemeConfig(grid=grid, **scheme_params)
+        section = "initial"
+        preset_profile(kind, mass, grid, **params)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
     return ExperimentConfig(mass=mass, n=n, gamma=gamma, scheme_params=scheme_params,
                             initial_kind=kind, initial_params=params,

@@ -359,30 +359,33 @@ def preset_profile(kind: str, m: float, grid: Grid, **params) -> MassProfile:
     kinds: "constant" (M = m*xi), "pks" (stationary planar profile with
     scale lam, restricted to the disk and renormalized) and "barrier"
     (the concave family with parameter a; small a is the concentrated,
-    near-Dirac preset).
+    near-Dirac preset).  This is the one check of initial data: a bad
+    kind or parameter raises here, and a closed form that overflows or
+    divides 0 by 0 comes out non-finite, which MassProfile rejects.
     """
-    if m <= 0:
-        raise ProfileError("total mass must be positive")
     xi = grid.nodes
-    if kind == "constant":
-        if params:
-            raise ProfileError(f"constant preset takes no parameters, got {params}")
-        values = m * xi
-    elif kind == "pks":
-        lam = params.pop("lam", None)
-        if params:
-            raise ProfileError(f"unknown pks parameters {params}")
-        if lam is None or lam <= 0:
-            raise ProfileError("pks preset needs lam > 0")
-        # unscaled mass inside xi is 8*pi*xi/(lam^2 + xi); rescale to m
-        values = m * (lam ** 2 + 1.0) * xi / (lam ** 2 + xi)
-    elif kind == "barrier":
-        a = params.pop("a", None)
-        if params:
-            raise ProfileError(f"unknown barrier parameters {params}")
-        if a is None or a <= 0:
-            raise ProfileError("barrier preset needs a > 0")
-        values = m * (a + 1.0) * xi / (a + xi)
-    else:
-        raise ProfileError(f"unknown preset kind {kind!r}")
+    with np.errstate(all="ignore"):
+        if kind == "constant":
+            if params:
+                raise ProfileError(f"constant preset takes no parameters, got {params}")
+            values = m * xi
+        elif kind == "pks":
+            lam = params.pop("lam", None)
+            if params:
+                raise ProfileError(f"unknown pks parameters {params}")
+            if lam is None or lam <= 0:
+                raise ProfileError("pks preset needs lam > 0")
+            # unscaled mass inside xi is 8*pi*xi/(lam^2 + xi); rescale to m.
+            # A NumPy square overflows to inf where a float's raises.
+            lam2 = np.float64(lam) ** 2
+            values = m * (lam2 + 1.0) * xi / (lam2 + xi)
+        elif kind == "barrier":
+            a = params.pop("a", None)
+            if params:
+                raise ProfileError(f"unknown barrier parameters {params}")
+            if a is None or a <= 0:
+                raise ProfileError("barrier preset needs a > 0")
+            values = m * (a + 1.0) * xi / (a + xi)
+        else:
+            raise ProfileError(f"unknown preset kind {kind!r}")
     return MassProfile(grid, values, m)

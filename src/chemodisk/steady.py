@@ -89,8 +89,8 @@ def _jacobian_banded(w, grid: Grid, m):
     return ab
 
 
-def solve_stationary_newton(m: float, init: MassProfile) -> NewtonResult:
-    """Damped Newton on the discretized stationary problem.
+def solve_stationary_newton(init: MassProfile) -> NewtonResult:
+    """Damped Newton on the discretized stationary problem at init's mass m.
 
     Endpoints stay pinned at 0 and m; iterates are clipped to [0, m] and
     the step is halved until the residual norm decreases.  When the line
@@ -116,6 +116,7 @@ def solve_stationary_newton(m: float, init: MassProfile) -> NewtonResult:
     """
     grid = init.grid
     xi = grid.nodes
+    m = init.total_mass
     w = np.clip(init.values.copy(), 0.0, m)
     w[0] = 0.0
     w[-1] = m

@@ -184,6 +184,29 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 0
 
+    def test_steady_runs_at_the_config_mass(self, tmp_path):
+        code = cli.main(["steady", "--set", "mass=2pi", "--set", "grid.n=64",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        keys = [line.split("=", 1)[0]
+                for line in (tmp_path / "summary.txt").read_text().splitlines()]
+        assert keys == ["converged_6.28319", "max_distance_6.28319",
+                        "sweep_6.28319", "uniqueness"]
+
+    @pytest.mark.parametrize("mass", ["-1", "abc", "inf"])
+    def test_steady_rejects_a_bad_mass(self, tmp_path, capsys, mass):
+        assert cli.main(["steady", "--mass", mass, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "summary.txt").exists()
+
+    @pytest.mark.parametrize("option,value", [
+        ("--nm", "0"), ("--na", "-1"), ("--nxi", "2.5"), ("--na", "x")])
+    def test_barrier_rejects_a_bad_count(self, tmp_path, capsys, option, value):
+        out = tmp_path / "audit.csv"
+        assert cli.main(["barrier", "--out", str(out), option, value]) == 1
+        assert capsys.readouterr().err.startswith(f"error: argument {option}: ")
+        assert not out.exists()
+
     def test_barrier_audit_command(self, tmp_path):
         out = tmp_path / "audit.csv"
         code = cli.main(["barrier", "--out", str(out),
@@ -282,8 +305,16 @@ def test_parse_config_accepts_grid_n_at_bound():
     assert parse_config({"mass": "4pi", "grid.n": 2 ** 20}).n == 2 ** 20
 
 
-def test_garbage_initial_parameter_is_a_usage_error(tmp_path, capsys):
-    code = cli.main(["simulate", "--set", "mass=4pi", "--set", "initial.kind=pks",
-                     "--set", "initial.lambda=abc", "--out", str(tmp_path)])
+# an unparsable value, a lambda whose square underflows to 0 (0/0 at xi = 0),
+# and a mass that overflows the pks closed form
+@pytest.mark.parametrize("mass,lam,prefix", [
+    ("4pi", "abc", "error: initial.lambda: "),
+    ("4pi", "1e-300", "error: initial: "),
+    ("1e306", "100", "error: initial: "),
+], ids=["unparsable", "lambda-underflow", "mass-overflow"])
+def test_garbage_initial_parameter_is_a_usage_error(tmp_path, capsys, mass, lam,
+                                                    prefix):
+    code = cli.main(["simulate", "--set", f"mass={mass}", "--set", "initial.kind=pks",
+                     "--set", f"initial.lambda={lam}", "--out", str(tmp_path)])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(prefix)

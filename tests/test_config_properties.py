@@ -2,13 +2,16 @@
 
 Every key is fuzzed with values that must be refused: text that is not a
 number, lists, nan and inf, and values outside the key's range.  Each must
-raise ConfigError, never another exception type.
+raise ConfigError, never another exception type.  Masses and preset
+parameters are also fuzzed across the whole float range: a config that
+parses must build its initial profile without a warning.
 """
 
 import math
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chemodisk.config import ConfigError, _DEFAULTS, parse_config
@@ -151,3 +154,29 @@ def test_bad_numeric_values_raise_config_error(entry):
 def test_unknown_initial_kind_raises_config_error(kind):
     with pytest.raises(ConfigError):
         parse_config({"mass": "4pi", "initial.kind": kind})
+
+
+# subnormal to near-overflow, both infinities, nan, 0 and negatives: the
+# extremes where the preset closed forms underflow, overflow or divide 0 by 0
+extreme = st.one_of(
+    st.sampled_from([1e-320, 1e-300, 1e-160, 1e-150, 1e-10, 0.05, 1.0, 1e10, 1e150,
+                     1e155, 1e200, 1e308, math.inf, math.nan, -1.0, 0.0]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["initial.lambda", "initial.a"]), _spelled(extreme),
+       _spelled(extreme))
+@example("initial.lambda", "4pi", "1e-300")
+@example("initial.lambda", "1e306", "100")
+@example("initial.lambda", "4pi", "1e155")
+def test_parsed_initial_data_builds_without_warning(key, mass, value):
+    doc = {"mass": mass, "grid.n": 64, **CONTEXT[key], key: value}
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        profile = cfg.initial_profile()
+    assert profile.total_mass == cfg.mass

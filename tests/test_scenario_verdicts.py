@@ -25,11 +25,15 @@ CASES = [
     ("blowup", ["--set", "mass=4pi", "--set", "scheme.t_end=1"], "fail"),
     ("uniqueness", ["--set", "mass=8pi", "--set", "grid.n=64"], "pass"),
     ("check", ["--set", "mass=4pi"], "pass"),
+    ("check", ["--set", "mass=40pi"], "pass"),  # barrier residuals checked up to 8pi
 ]
 
+# test ids are name-verdict; the last case differs from the one before in mass only
+IDS = [f"{name}-{verdict}" for name, _, verdict in CASES]
+IDS[-1] += "-40pi"
 
-@pytest.mark.parametrize("name,args,verdict", CASES,
-                         ids=[f"{name}-{verdict}" for name, _, verdict in CASES])
+
+@pytest.mark.parametrize("name,args,verdict", CASES, ids=IDS)
 def test_last_summary_line_is_the_verdict_and_sets_the_exit_code(
         tmp_path, capsys, name, args, verdict):
     code = cli.main(["scenario", name, *args, "--out", str(tmp_path)])

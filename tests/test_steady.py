@@ -36,14 +36,14 @@ class TestNewton:
     def test_converges_from_constant(self):
         grid = Grid.regular(128)
         m = 2.0 * np.pi
-        res = solve_stationary_newton(m, preset_profile("constant", m, grid))
+        res = solve_stationary_newton(preset_profile("constant", m, grid))
         assert res.converged
         assert res.distance_to_linear < 1e-8 * m
 
     def test_converges_from_concentrated(self):
         grid = Grid.regular(128)
         m = 4.0 * np.pi
-        res = solve_stationary_newton(m, preset_profile("pks", m, grid, lam=0.5))
+        res = solve_stationary_newton(preset_profile("pks", m, grid, lam=0.5))
         assert res.converged
         assert res.distance_to_linear < 1e-8 * m
         # residual history is monotone nonincreasing at acceptance
@@ -52,14 +52,14 @@ class TestNewton:
 
     def test_critical_mass_hard_start(self):
         grid = Grid.regular(128)
-        res = solve_stationary_newton(M8, preset_profile("pks", M8, grid, lam=0.3))
+        res = solve_stationary_newton(preset_profile("pks", M8, grid, lam=0.3))
         assert res.converged
         assert res.distance_to_linear < 1e-8 * M8
 
     def test_result_profile_is_valid(self):
         grid = Grid.regular(128)
         m = np.pi
-        res = solve_stationary_newton(m, preset_profile("barrier", m, grid, a=0.5))
+        res = solve_stationary_newton(preset_profile("barrier", m, grid, a=0.5))
         assert isinstance(res.profile, MassProfile)
         assert res.profile.values[0] == 0.0
         assert res.profile.values[-1] == pytest.approx(m)
@@ -77,7 +77,7 @@ class TestNewtonFineGrid:
     @pytest.mark.parametrize("n", [512, 2048])
     def test_flat_start_stops_after_one_update(self, n):
         m = M8
-        res = solve_stationary_newton(m, preset_profile("constant", m, Grid.regular(n)))
+        res = solve_stationary_newton(preset_profile("constant", m, Grid.regular(n)))
         assert res.converged
         assert res.iterations == 1
         assert res.shifted_steps == 0
@@ -85,7 +85,7 @@ class TestNewtonFineGrid:
 
     def test_critical_mass_hard_start(self):
         grid = Grid.regular(512)
-        res = solve_stationary_newton(M8, preset_profile("pks", M8, grid, lam=0.3))
+        res = solve_stationary_newton(preset_profile("pks", M8, grid, lam=0.3))
         assert res.converged
         assert res.distance_to_linear < 1e-12 * M8
         # the line search stalls on this start; the pseudo-transient
@@ -98,7 +98,7 @@ class TestNewtonFineGrid:
         grid = Grid.regular(n)
         for m in (np.pi, 2.0 * np.pi, 4.0 * np.pi, M8):
             for j, init in enumerate(cli._newton_inits(m, grid, seed)):
-                res = solve_stationary_newton(m, init)
+                res = solve_stationary_newton(init)
                 assert res.converged, (m, j)
                 assert res.distance_to_linear <= n * np.finfo(float).eps * m, (m, j)
 
@@ -110,7 +110,7 @@ def test_newton_reaches_non_flat_supercritical_state(mult, lam, u0):
     # non-flat stationary branch past 8*pi; the shift must not take over
     m = mult * np.pi
     grid = Grid.regular(1024, 2.0)
-    res = solve_stationary_newton(m, preset_profile("pks", m, grid, lam=lam))
+    res = solve_stationary_newton(preset_profile("pks", m, grid, lam=lam))
     assert res.converged
     assert res.shifted_steps == 0
     assert density_from_mass(res.profile).values[0] == pytest.approx(u0, rel=1e-3)
