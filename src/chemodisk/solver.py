@@ -34,7 +34,7 @@ solutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -83,6 +83,17 @@ class SchemeConfig:
         return 1e6 * m / np.pi
 
 
+@dataclass(frozen=True)
+class _Stop:
+    """Controller state of a stopped run: its scheme, the step it proposes
+    next (not dts[-1] after a landing) and the next snapshot time.  The
+    profile is the trace's last snapshot."""
+
+    config: SchemeConfig
+    dt: float
+    next_snap: float
+
+
 @dataclass
 class SimulationTrace:
     """Per-step diagnostics, periodic snapshots, and a termination verdict."""
@@ -100,6 +111,9 @@ class SimulationTrace:
     blowup_time: float | None = None
     blowup_xi: float | None = None
     clip_events: int = 0
+    rejected_nonfinite: int = 0  # trials halved for a non-finite profile or energy
+    rejected_spike: int = 0  # trials halved for a tenfold jump of sup u
+    _stop: _Stop | None = field(default=None, repr=False)  # read by resume
 
     def record(self, t, dt, diag):
         if self.times and t <= self.times[-1]:
@@ -264,41 +278,80 @@ def simulate(config: SchemeConfig, M0: MassProfile) -> SimulationTrace:
     """
     m = M0.total_mass
     ws = _Workspace(config.grid, m)
-    threshold = config.threshold(m)
-
     M = M0.values.copy()
-    t = 0.0
     trace = SimulationTrace(total_mass=m)
-    diag = ws.diagnostics(M)
-    trace.record(t, 0.0, diag)
-    trace.snapshots.append((t, MassProfile(config.grid, M.copy(), m)))
-    next_snap = config.snapshot_every
-    sup_u0 = sup_u_prev = diag[0]
-
+    trace.record(0.0, 0.0, ws.diagnostics(M))
+    trace.snapshots.append((0.0, MassProfile(config.grid, M.copy(), m)))
     dt = min(config.dt0, config.cfl * ws.lag(M))
-    while t < config.t_end:
-        # land exactly on snapshot times and t_end so recorded profiles are
-        # comparable across resolutions
-        dt_eff = min(dt, config.t_end - t, max(next_snap - t, config.dt_min))
-        trial = ws.advance(dt_eff)
-        ok = bool(np.isfinite(trial).all())
-        clipped = False
-        if ok:
-            trial, clipped = ws.repair_monotone(trial)
-            diag = ws.diagnostics(trial)
-            spike = diag[0] > 10.0 * sup_u_prev and diag[0] > threshold * 1e-3
-            ok = np.isfinite(diag[2]) and not spike
-        if ok:
-            if clipped:
-                trace.clip_events += 1
-            M = trial
-            t += dt_eff
-            trace.record(t, dt_eff, diag)
-            sup_u_prev = diag[0]
-            if diag[0] > threshold:
+    return _integrate(config, ws, trace, M, dt, config.snapshot_every, None)
+
+
+def resume(config: SchemeConfig, trace: SimulationTrace) -> SimulationTrace:
+    """Continue a stopped run under a higher blowup threshold.
+
+    config may differ from the scheme the trace was run with in
+    u_blowup_threshold only, and its threshold must not be below the old
+    one; anything else raises ValueError.  The stepping loop of simulate
+    re-enters where it stopped, and the stop condition that fired is
+    evaluated again under the new threshold: a completed run returns at
+    once, a run stopped at the step floor gets its floor verdict again, and
+    a run stopped by blowup stops at the same step if its last sup u is
+    still above the threshold, else keeps stepping (its stop snapshot is
+    dropped unless it was also a landing snapshot).  The trace passed in,
+    its lists and its snapshot arrays are not changed.
+
+    Exactness: the threshold enters a step's acceptance only through the
+    spike guard's floor, threshold * 1e-3, and a higher threshold only
+    relaxes that floor.  So whenever the earlier run rejected no trial as a
+    spike (trace.rejected_spike == 0), the result equals a fresh simulate
+    under config bit for bit.  Otherwise it is the earlier run continued: a
+    trial rejected as a spike there might be accepted by a fresh run.
+    """
+    stop = trace._stop
+    if stop is None:
+        raise ValueError("only a trace returned by simulate or resume can be resumed")
+    if replace(config, u_blowup_threshold=stop.config.u_blowup_threshold) != stop.config:
+        raise ValueError("resume may change scheme.u_blowup_threshold only")
+    m = trace.total_mass
+    if config.threshold(m) < stop.config.threshold(m):
+        raise ValueError("resume needs a threshold at or above the run's own")
+    # a blowup stop comes right after an accepted step, before its landing
+    # check and step growth; the other stops come after both
+    accepted = trace.verdict == VERDICT_BLOWUP
+    copies = {f.name: list(getattr(trace, f.name)) for f in fields(trace)
+              if isinstance(getattr(trace, f.name), list)}
+    if accepted:
+        copies["snapshots"].pop()
+    M = trace.snapshots[-1][1].values
+    out = replace(trace, **copies, verdict=None, blowup_time=None,
+                  blowup_xi=None, _stop=None)
+    return _integrate(config, _Workspace(config.grid, m), out, M, stop.dt,
+                      stop.next_snap, accepted, trace.blowup_xi)
+
+
+def _integrate(config: SchemeConfig, ws: _Workspace, trace: SimulationTrace,
+               M, dt: float, next_snap: float, accepted,
+               peak_xi=None) -> SimulationTrace:
+    """The stepping loop of simulate and resume.
+
+    Steps from the trace's last record, whose profile is M, until a stop
+    condition holds; sets the verdict and keeps the controller state (the
+    step dt it proposes next and next_snap) in the trace for resume.
+    accepted is the outcome of the trial that made the last record: None
+    before the first trial, True while that record still awaits its
+    blowup check, landing snapshot and step growth; peak_xi is then the
+    node of that record's peak density.
+    """
+    m = trace.total_mass
+    threshold = config.threshold(m)
+    t = trace.times[-1]
+    sup_u0 = trace.sup_u[0]
+    while True:
+        if accepted:
+            if trace.sup_u[-1] > threshold:
                 trace.set_verdict(VERDICT_BLOWUP)
                 trace.blowup_time = t
-                trace.blowup_xi = diag[5]
+                trace.blowup_xi = peak_xi
                 trace.snapshots.append((t, MassProfile(config.grid, M.copy(), m)))
                 break
             if t >= next_snap - 1e-12:
@@ -306,16 +359,39 @@ def simulate(config: SchemeConfig, M0: MassProfile) -> SimulationTrace:
                 while next_snap <= t + 1e-12:
                     next_snap += config.snapshot_every
             dt = min(1.5 * dt, config.cfl * ws.lag(M))
-        else:
-            dt *= 0.5
-        if dt < config.dt_min:
-            trace.set_verdict(_floor_verdict(sup_u_prev, sup_u0, threshold))
+        if accepted is not None and dt < config.dt_min:
+            trace.set_verdict(_floor_verdict(trace.sup_u[-1], sup_u0, threshold))
             trace.blowup_time = t
             break
-    else:
-        trace.set_verdict(VERDICT_COMPLETED)
+        if t >= config.t_end:
+            trace.set_verdict(VERDICT_COMPLETED)
+            break
+        # land exactly on snapshot times and t_end so recorded profiles are
+        # comparable across resolutions
+        dt_eff = min(dt, config.t_end - t, max(next_snap - t, config.dt_min))
+        trial = ws.advance(dt_eff)
+        diag = None
+        if np.isfinite(trial).all():
+            trial, clipped = ws.repair_monotone(trial)
+            diag = ws.diagnostics(trial)
+        accepted = False
+        if diag is None or not np.isfinite(diag[2]):
+            trace.rejected_nonfinite += 1
+        elif diag[0] > 10.0 * trace.sup_u[-1] and diag[0] > threshold * 1e-3:
+            trace.rejected_spike += 1
+        else:
+            accepted = True
+            if clipped:
+                trace.clip_events += 1
+            M = trial
+            t += dt_eff
+            trace.record(t, dt_eff, diag)
+            peak_xi = diag[5]
+        if not accepted:
+            dt *= 0.5
     if trace.snapshots[-1][0] < t - 1e-12:
         trace.snapshots.append((t, MassProfile(config.grid, M.copy(), m)))
+    trace._stop = _Stop(config, dt, next_snap)
     return trace
 
 

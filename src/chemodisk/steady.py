@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from . import radial
 from .radial import Grid, MassProfile, second_derivative_interior
@@ -145,14 +145,13 @@ def solve_stationary_newton(init: MassProfile) -> NewtonResult:
     converged = norms[-1] < tol
     while not converged and it < _NEWTON_MAX_ITER:
         ab = _jacobian_banded(w, grid, m)
-        try:
-            delta = solve_banded((1, 1), ab + [[0.0], [shift], [0.0]], -res,
-                                 check_finite=False)
-            if shift and np.abs(delta).max() <= tol:
-                full = solve_banded((1, 1), ab, -res, check_finite=False)
-                if np.abs(full).max() <= tol:
-                    shift, delta = 0.0, full
-        except np.linalg.LinAlgError:
+        lower, diag, upper = ab[2, :-1], ab[1], ab[0, 1:]
+        _, _, _, delta, info = dgtsv(lower, diag + shift, upper, -res)
+        if info == 0 and shift and np.abs(delta).max() <= tol:
+            _, _, _, full, info = dgtsv(lower, diag, upper, -res)
+            if info == 0 and np.abs(full).max() <= tol:
+                shift, delta = 0.0, full
+        if info > 0:  # singular (shifted) Jacobian
             break
         it += 1
         if not shift and np.abs(delta).max() <= tol:  # false if non-finite

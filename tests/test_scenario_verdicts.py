@@ -1,9 +1,11 @@
 """Every scenario ends its summary.txt in ``<scenario>=pass|fail``, and the
 exit code of ``chemodisk scenario`` follows that last line."""
 
+import numpy as np
 import pytest
 
 from chemodisk import cli
+from chemodisk.config import parse_config
 
 # the supercritical concentrated run that collapses at t = 0.020, where the
 # derivative bound of the first snapshot leaves no room for a barrier fit
@@ -50,3 +52,24 @@ def test_verify_global_reports_an_unfittable_snapshot(tmp_path):
     assert code == 2
     assert any(line.startswith("barrier_confinement=error: ") for line in lines)
     assert lines[-1] == "verify-global=fail"
+
+
+@pytest.mark.parametrize("doc", [
+    {"mass": "10pi", "initial.kind": "barrier", "initial.a": "0.01"},
+    # a threshold below the initial density: every run stops after one step
+    {"mass": "4pi", "scheme.u_blowup_threshold": "1", "scheme.t_end": "1"},
+], ids=["readme", "threshold-below-initial-density"])
+def test_blowup_doubled_run_writes_what_a_fresh_run_writes(tmp_path, doc):
+    # the scenario continues its n=1024 run; a fresh run must write the same bytes
+    args = [arg for key, value in doc.items() for arg in ("--set", f"{key}={value}")]
+    assert cli.main(["scenario", "blowup", *args, "--out", str(tmp_path / "s")]) in (0, 2)
+    cfg = parse_config(doc)
+    threshold = cfg.scheme_params["u_blowup_threshold"] or 2e5 * cfg.mass / np.pi
+    doubled = cfg.replace(**{"grid.gamma": 3, "grid.n": 1024,
+                             "scheme.u_blowup_threshold": 2.0 * threshold})
+    cli.run_simulation(doubled, tmp_path / "fresh")
+    written = sorted(p.name for p in (tmp_path / "s" / "n1024_doubled").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    for name in written:
+        assert ((tmp_path / "s" / "n1024_doubled" / name).read_bytes()
+                == (tmp_path / "fresh" / name).read_bytes()), name

@@ -1,3 +1,6 @@
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from chemodisk import radial, solver
 from chemodisk.barriers import SubBarrier, SuperBarrier
 from chemodisk.radial import EIGHT_PI, Grid, MassProfile, preset_profile
 from chemodisk.solver import (SchemeConfig, VERDICT_BLOWUP, VERDICT_COMPLETED,
-                              cfl_limit, simulate, step,
+                              VERDICT_STEP_FLOOR, cfl_limit, simulate, step,
                               verify_discrete_comparison)
 
 M8 = EIGHT_PI
@@ -136,6 +139,150 @@ class TestSimulate:
         trace.record(0.0, 0.0, (1.0, 1.0, 0.0, 0.0, 0.0, 0.5))
         with pytest.raises(ValueError):
             trace.record(0.0, 0.0, (1.0, 1.0, 0.0, 0.0, 0.0, 0.5))
+
+
+def test_rejected_trials_are_counted_by_reason(monkeypatch):
+    # the first trial comes out non-finite, the second spikes, then none fails
+    advance, diagnostics = solver._Workspace.advance, solver._Workspace.diagnostics
+    calls = {"advance": 0, "diagnostics": 0}
+
+    def first_advance_nonfinite(self, dt):
+        calls["advance"] += 1
+        out = advance(self, dt)
+        if calls["advance"] == 1:
+            out[1] = np.nan
+        return out
+
+    def second_diagnostics_spike(self, M):
+        calls["diagnostics"] += 1  # call 1 is the initial record
+        diag = diagnostics(self, M)
+        return (1e300,) + diag[1:] if calls["diagnostics"] == 2 else diag
+
+    monkeypatch.setattr(solver._Workspace, "advance", first_advance_nonfinite)
+    monkeypatch.setattr(solver._Workspace, "diagnostics", second_diagnostics_spike)
+    grid = Grid.regular(64)
+    trace = simulate(_config(grid, t_end=0.1),
+                     preset_profile("pks", 4.0 * np.pi, grid, lam=0.5))
+    assert trace.verdict == VERDICT_COMPLETED
+    assert (trace.rejected_nonfinite, trace.rejected_spike) == (1, 1)
+
+
+_RECORDS = ("times", "dts", "sup_u", "sup_m_over_xi", "energy", "dissipation",
+            "second_moment")
+
+
+def _assert_identical(a, b):
+    """Every record, snapshot, verdict and count of two traces, bit for bit."""
+    for name in _RECORDS:
+        assert (np.array(getattr(a, name)).tobytes()
+                == np.array(getattr(b, name)).tobytes()), name
+    assert [t for t, _ in a.snapshots] == [t for t, _ in b.snapshots]
+    for (_, p), (_, q) in zip(a.snapshots, b.snapshots):
+        assert p.values.tobytes() == q.values.tobytes()
+    for name in ("verdict", "blowup_time", "blowup_xi", "clip_events",
+                 "rejected_nonfinite", "rejected_spike"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
+def _resume_and_fresh(cfg, M0):
+    """(first run, its continuation, a fresh run) at double the threshold."""
+    first = simulate(cfg, M0)
+    doubled = replace(cfg, u_blowup_threshold=2.0 * cfg.threshold(M0.total_mass))
+    return first, solver.resume(doubled, first), simulate(doubled, M0)
+
+
+class TestResume:
+    # the blowup scenario's fine run: gamma=3, n=1024, threshold 2e5 m/pi
+    @pytest.mark.parametrize("kind,m,param,n", [
+        ("barrier", 10.0 * np.pi, {"a": 0.0099}, 1024),
+        ("barrier", 10.0 * np.pi, {"a": 0.01}, 1024),
+        ("barrier", 10.0 * np.pi, {"a": 0.0101}, 1024),
+        ("pks", 12.0 * np.pi, {"lam": 0.05}, 512),
+    ], ids=["a0.0099", "a0.01", "a0.0101", "pks-12pi"])
+    def test_equals_a_fresh_run_at_the_doubled_threshold(self, kind, m, param, n):
+        grid = Grid.regular(n, gamma=3.0)
+        cfg = SchemeConfig(grid=grid, u_blowup_threshold=2e5 * m / np.pi)
+        first, resumed, fresh = _resume_and_fresh(
+            cfg, preset_profile(kind, m, grid, **param))
+        assert first.rejected_spike == 0  # the condition of exactness
+        assert first.verdict == resumed.verdict == VERDICT_BLOWUP
+        assert len(resumed.times) > len(first.times)
+        _assert_identical(resumed, fresh)
+
+    @pytest.mark.parametrize("verdict,grid,kind,m,param,kw", [
+        (VERDICT_BLOWUP, Grid.regular(256, gamma=3.0), "barrier", 10.0 * np.pi,
+         {"a": 0.01}, {"t_end": 10.0, "u_blowup_threshold": 1e5}),
+        # the stop step is cut short to land on the snapshot at t = 0.01988,
+        # so the step the controller proposes next is not dts[-1]
+        (VERDICT_BLOWUP, Grid.regular(256, gamma=3.0), "barrier", 10.0 * np.pi,
+         {"a": 0.01}, {"snapshot_every": 0.01988, "u_blowup_threshold": 1e5}),
+        (VERDICT_COMPLETED, Grid.regular(128), "pks", 4.0 * np.pi,
+         {"lam": 0.5}, {}),
+        # the first step already falls under dt_min
+        (VERDICT_STEP_FLOOR, Grid.regular(64, gamma=3.0), "pks", M8,
+         {"lam": 0.05}, {"dt0": 0.1, "dt_min": 0.01}),
+    ], ids=["blowup", "blowup-at-a-landing", "completed", "step_floor"])
+    def test_each_verdict(self, verdict, grid, kind, m, param, kw):
+        first, resumed, fresh = _resume_and_fresh(
+            _config(grid, **kw), preset_profile(kind, m, grid, **param))
+        assert first.verdict == resumed.verdict == verdict
+        _assert_identical(resumed, fresh)
+
+    def test_step_floor_after_rejected_trials(self, monkeypatch):
+        # every trial after the first step is non-finite, so dt is halved
+        # under dt_min; resume must stop there again, not grow dt and retry
+        grid = Grid.regular(64)
+        M0 = preset_profile("pks", 4.0 * np.pi, grid, lam=0.5)
+        advance = solver._Workspace.advance
+
+        def fail_after_the_first_step(self, dt):
+            out = advance(self, dt)
+            if not np.array_equal(self._M, M0.values):
+                out[1] = np.nan
+            return out
+
+        monkeypatch.setattr(solver._Workspace, "advance", fail_after_the_first_step)
+        first, resumed, fresh = _resume_and_fresh(_config(grid), M0)
+        assert first.verdict == VERDICT_STEP_FLOOR
+        assert first.rejected_nonfinite > 0
+        _assert_identical(resumed, fresh)
+
+    def test_leaves_the_earlier_trace_unchanged(self):
+        grid = Grid.regular(256, gamma=3.0)
+        cfg = _config(grid, t_end=10.0, u_blowup_threshold=1e5)
+        trace = simulate(cfg, preset_profile("barrier", 10.0 * np.pi, grid, a=0.01))
+        before = copy.deepcopy(trace)
+        arrays = [p.values for _, p in trace.snapshots]
+        solver.resume(replace(cfg, u_blowup_threshold=2e5), trace)
+        _assert_identical(trace, before)
+        assert len(trace.snapshots) == len(before.snapshots)
+        assert all(p.values is a for (_, p), a in zip(trace.snapshots, arrays))
+
+    def test_refuses_a_change_other_than_the_threshold(self):
+        grid = Grid.regular(128)
+        cfg = _config(grid)
+        trace = simulate(cfg, preset_profile("pks", 4.0 * np.pi, grid, lam=0.5))
+        with pytest.raises(ValueError, match="u_blowup_threshold only"):
+            solver.resume(replace(cfg, t_end=2.0, u_blowup_threshold=1e9), trace)
+
+    def test_refuses_a_lower_threshold(self):
+        # a lower threshold tightens the spike guard, so a fresh run may differ
+        grid = Grid.regular(128)
+        cfg = _config(grid, u_blowup_threshold=1e5)
+        trace = simulate(cfg, preset_profile("pks", 4.0 * np.pi, grid, lam=0.5))
+        with pytest.raises(ValueError, match="threshold"):
+            solver.resume(replace(cfg, u_blowup_threshold=0.5e5), trace)
+
+    def test_stops_again_below_the_peak_of_the_stop(self):
+        grid = Grid.regular(256, gamma=3.0)
+        cfg = _config(grid, t_end=10.0, u_blowup_threshold=1e5)
+        M0 = preset_profile("barrier", 10.0 * np.pi, grid, a=0.01)
+        first = simulate(cfg, M0)
+        assert first.sup_u[-1] > 1e5
+        between = replace(cfg, u_blowup_threshold=(1e5 + first.sup_u[-1]) / 2.0)
+        resumed = solver.resume(between, first)
+        assert resumed.times == first.times
+        _assert_identical(resumed, simulate(between, M0))
 
 
 class TestComparison:
