@@ -299,7 +299,9 @@ def scenario_blowup(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
     the innermost interior node, that detection time is insensitive to
     doubling the threshold (fine grid), and that the attained peak grows
     under refinement.  The doubled-threshold run continues the fine run
-    from where it stopped (solver.resume) instead of repeating its steps.
+    from where it stopped (solver.resume) instead of repeating its steps,
+    unless the fine run rejected a trial as a spike: then the continuation
+    could differ from a fresh run, and a fresh run is made.
     """
     out = Path(out_dir)
     m = cfg.mass
@@ -316,8 +318,11 @@ def scenario_blowup(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
 
     trace_c, _ = run_simulation(coarse, out / "n512")
     trace_f, _ = run_simulation(fine, out / "n1024")
-    trace_d = solver.resume(doubled.scheme(), trace_f)
-    write_run(trace_d, out / "n1024_doubled")
+    if trace_f.rejected_spike:  # a fresh run might accept a trial it rejected
+        trace_d, _ = run_simulation(doubled, out / "n1024_doubled")
+    else:
+        trace_d = solver.resume(doubled.scheme(), trace_f)
+        write_run(trace_d, out / "n1024_doubled")
     traces = [trace_c, trace_f, trace_d]
     summary = {
         "threshold": threshold,

@@ -84,14 +84,19 @@ class SchemeConfig:
 
 
 @dataclass(frozen=True)
-class _Stop:
-    """Controller state of a stopped run: its scheme, the step it proposes
-    next (not dts[-1] after a landing) and the next snapshot time.  The
-    profile is the trace's last snapshot."""
+class _LoopState:
+    """Where the stepping loop starts or stopped, besides the trace's last
+    record and snapshot: the scheme, the step it proposes next (not dts[-1]
+    after a landing), the next snapshot time, and whether the last record
+    is pending, i.e. still awaits its blowup check, landing snapshot and
+    step growth (None before the first trial), with peak_xi the node of its
+    peak density."""
 
     config: SchemeConfig
     dt: float
     next_snap: float
+    pending: bool | None = None
+    peak_xi: float | None = None
 
 
 @dataclass
@@ -111,9 +116,8 @@ class SimulationTrace:
     blowup_time: float | None = None
     blowup_xi: float | None = None
     clip_events: int = 0
-    rejected_nonfinite: int = 0  # trials halved for a non-finite profile or energy
     rejected_spike: int = 0  # trials halved for a tenfold jump of sup u
-    _stop: _Stop | None = field(default=None, repr=False)  # read by resume
+    _stop: _LoopState | None = field(default=None, repr=False)  # read by resume
 
     def record(self, t, dt, diag):
         if self.times and t <= self.times[-1]:
@@ -283,7 +287,7 @@ def simulate(config: SchemeConfig, M0: MassProfile) -> SimulationTrace:
     trace.record(0.0, 0.0, ws.diagnostics(M))
     trace.snapshots.append((0.0, MassProfile(config.grid, M.copy(), m)))
     dt = min(config.dt0, config.cfl * ws.lag(M))
-    return _integrate(config, ws, trace, M, dt, config.snapshot_every, None)
+    return _integrate(ws, trace, M, _LoopState(config, dt, config.snapshot_every))
 
 
 def resume(config: SchemeConfig, trace: SimulationTrace) -> SimulationTrace:
@@ -292,11 +296,11 @@ def resume(config: SchemeConfig, trace: SimulationTrace) -> SimulationTrace:
     config may differ from the scheme the trace was run with in
     u_blowup_threshold only, and its threshold must not be below the old
     one; anything else raises ValueError.  The stepping loop of simulate
-    re-enters where it stopped, and the stop condition that fired is
-    evaluated again under the new threshold: a completed run returns at
+    re-enters in the state it stopped in, so the stop condition that fired
+    is evaluated again under the new threshold: a completed run returns at
     once, a run stopped at the step floor gets its floor verdict again, and
-    a run stopped by blowup stops at the same step if its last sup u is
-    still above the threshold, else keeps stepping (its stop snapshot is
+    a run stopped by the threshold stops at the same step if its last sup u
+    is still above the new one, else keeps stepping (its stop snapshot is
     dropped unless it was also a landing snapshot).  The trace passed in,
     its lists and its snapshot arrays are not changed.
 
@@ -315,39 +319,32 @@ def resume(config: SchemeConfig, trace: SimulationTrace) -> SimulationTrace:
     m = trace.total_mass
     if config.threshold(m) < stop.config.threshold(m):
         raise ValueError("resume needs a threshold at or above the run's own")
-    # a blowup stop comes right after an accepted step, before its landing
-    # check and step growth; the other stops come after both
-    accepted = trace.verdict == VERDICT_BLOWUP
     copies = {f.name: list(getattr(trace, f.name)) for f in fields(trace)
               if isinstance(getattr(trace, f.name), list)}
-    if accepted:
+    if stop.pending:  # the threshold stop's snapshot, taken before the landing check
         copies["snapshots"].pop()
-    M = trace.snapshots[-1][1].values
     out = replace(trace, **copies, verdict=None, blowup_time=None,
                   blowup_xi=None, _stop=None)
-    return _integrate(config, _Workspace(config.grid, m), out, M, stop.dt,
-                      stop.next_snap, accepted, trace.blowup_xi)
+    M = trace.snapshots[-1][1].values
+    return _integrate(_Workspace(config.grid, m), out, M, replace(stop, config=config))
 
 
-def _integrate(config: SchemeConfig, ws: _Workspace, trace: SimulationTrace,
-               M, dt: float, next_snap: float, accepted,
-               peak_xi=None) -> SimulationTrace:
+def _integrate(ws: _Workspace, trace: SimulationTrace, M,
+               state: _LoopState) -> SimulationTrace:
     """The stepping loop of simulate and resume.
 
-    Steps from the trace's last record, whose profile is M, until a stop
-    condition holds; sets the verdict and keeps the controller state (the
-    step dt it proposes next and next_snap) in the trace for resume.
-    accepted is the outcome of the trial that made the last record: None
-    before the first trial, True while that record still awaits its
-    blowup check, landing snapshot and step growth; peak_xi is then the
-    node of that record's peak density.
+    Steps from the trace's last record, whose profile is M, in the given
+    loop state until a stop condition holds; sets the verdict and keeps the
+    state it stopped in as trace._stop, for resume.
     """
+    config, dt, next_snap = state.config, state.dt, state.next_snap
+    pending, peak_xi = state.pending, state.peak_xi
     m = trace.total_mass
     threshold = config.threshold(m)
     t = trace.times[-1]
     sup_u0 = trace.sup_u[0]
     while True:
-        if accepted:
+        if pending:
             if trace.sup_u[-1] > threshold:
                 trace.set_verdict(VERDICT_BLOWUP)
                 trace.blowup_time = t
@@ -359,7 +356,8 @@ def _integrate(config: SchemeConfig, ws: _Workspace, trace: SimulationTrace,
                 while next_snap <= t + 1e-12:
                     next_snap += config.snapshot_every
             dt = min(1.5 * dt, config.cfl * ws.lag(M))
-        if accepted is not None and dt < config.dt_min:
+            pending = False
+        if pending is not None and dt < config.dt_min:
             trace.set_verdict(_floor_verdict(trace.sup_u[-1], sup_u0, threshold))
             trace.blowup_time = t
             break
@@ -374,24 +372,23 @@ def _integrate(config: SchemeConfig, ws: _Workspace, trace: SimulationTrace,
         if np.isfinite(trial).all():
             trial, clipped = ws.repair_monotone(trial)
             diag = ws.diagnostics(trial)
-        accepted = False
+        pending = False
         if diag is None or not np.isfinite(diag[2]):
-            trace.rejected_nonfinite += 1
+            dt *= 0.5
         elif diag[0] > 10.0 * trace.sup_u[-1] and diag[0] > threshold * 1e-3:
             trace.rejected_spike += 1
+            dt *= 0.5
         else:
-            accepted = True
+            pending = True
             if clipped:
                 trace.clip_events += 1
             M = trial
             t += dt_eff
             trace.record(t, dt_eff, diag)
             peak_xi = diag[5]
-        if not accepted:
-            dt *= 0.5
     if trace.snapshots[-1][0] < t - 1e-12:
         trace.snapshots.append((t, MassProfile(config.grid, M.copy(), m)))
-    trace._stop = _Stop(config, dt, next_snap)
+    trace._stop = _LoopState(config, dt, next_snap, pending, peak_xi)
     return trace
 
 

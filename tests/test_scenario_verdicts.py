@@ -4,7 +4,7 @@ exit code of ``chemodisk scenario`` follows that last line."""
 import numpy as np
 import pytest
 
-from chemodisk import cli
+from chemodisk import cli, solver
 from chemodisk.config import parse_config
 
 # the supercritical concentrated run that collapses at t = 0.020, where the
@@ -54,13 +54,8 @@ def test_verify_global_reports_an_unfittable_snapshot(tmp_path):
     assert lines[-1] == "verify-global=fail"
 
 
-@pytest.mark.parametrize("doc", [
-    {"mass": "10pi", "initial.kind": "barrier", "initial.a": "0.01"},
-    # a threshold below the initial density: every run stops after one step
-    {"mass": "4pi", "scheme.u_blowup_threshold": "1", "scheme.t_end": "1"},
-], ids=["readme", "threshold-below-initial-density"])
-def test_blowup_doubled_run_writes_what_a_fresh_run_writes(tmp_path, doc):
-    # the scenario continues its n=1024 run; a fresh run must write the same bytes
+def _assert_doubled_run_is_fresh(tmp_path, doc):
+    """The scenario's n1024_doubled/ holds the bytes a fresh run writes."""
     args = [arg for key, value in doc.items() for arg in ("--set", f"{key}={value}")]
     assert cli.main(["scenario", "blowup", *args, "--out", str(tmp_path / "s")]) in (0, 2)
     cfg = parse_config(doc)
@@ -73,3 +68,34 @@ def test_blowup_doubled_run_writes_what_a_fresh_run_writes(tmp_path, doc):
     for name in written:
         assert ((tmp_path / "s" / "n1024_doubled" / name).read_bytes()
                 == (tmp_path / "fresh" / name).read_bytes()), name
+
+
+README_BLOWUP = {"mass": "10pi", "initial.kind": "barrier", "initial.a": "0.01"}
+
+
+@pytest.mark.parametrize("doc", [
+    README_BLOWUP,
+    # a threshold below the initial density: every run stops after one step
+    {"mass": "4pi", "scheme.u_blowup_threshold": "1", "scheme.t_end": "1"},
+], ids=["readme", "threshold-below-initial-density"])
+def test_blowup_doubled_run_writes_what_a_fresh_run_writes(tmp_path, doc):
+    # the scenario continues its n=1024 run; a fresh run must write the same bytes
+    _assert_doubled_run_is_fresh(tmp_path, doc)
+
+
+def test_blowup_reruns_the_doubled_run_after_a_spike(tmp_path, monkeypatch):
+    # every run rejects its first trial as a spike; a continuation could then
+    # differ from a fresh run, so the scenario must not continue
+    diagnostics = solver._Workspace.diagnostics
+
+    def first_trial_spikes(self, M):
+        self.calls = getattr(self, "calls", 0) + 1  # call 1 is the initial record
+        diag = diagnostics(self, M)
+        return (1e300,) + diag[1:] if self.calls == 2 else diag
+
+    def no_resume(config, trace):
+        raise AssertionError("resumed a run that rejected a spike")
+
+    monkeypatch.setattr(solver._Workspace, "diagnostics", first_trial_spikes)
+    monkeypatch.setattr(solver, "resume", no_resume)
+    _assert_doubled_run_is_fresh(tmp_path, README_BLOWUP)

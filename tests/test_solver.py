@@ -141,7 +141,7 @@ class TestSimulate:
             trace.record(0.0, 0.0, (1.0, 1.0, 0.0, 0.0, 0.0, 0.5))
 
 
-def test_rejected_trials_are_counted_by_reason(monkeypatch):
+def test_spike_rejections_are_counted(monkeypatch):
     # the first trial comes out non-finite, the second spikes, then none fails
     advance, diagnostics = solver._Workspace.advance, solver._Workspace.diagnostics
     calls = {"advance": 0, "diagnostics": 0}
@@ -164,7 +164,8 @@ def test_rejected_trials_are_counted_by_reason(monkeypatch):
     trace = simulate(_config(grid, t_end=0.1),
                      preset_profile("pks", 4.0 * np.pi, grid, lam=0.5))
     assert trace.verdict == VERDICT_COMPLETED
-    assert (trace.rejected_nonfinite, trace.rejected_spike) == (1, 1)
+    assert calls["advance"] == len(trace.times) + 1  # two rejected trials
+    assert trace.rejected_spike == 1
 
 
 _RECORDS = ("times", "dts", "sup_u", "sup_m_over_xi", "energy", "dissipation",
@@ -172,7 +173,8 @@ _RECORDS = ("times", "dts", "sup_u", "sup_m_over_xi", "energy", "dissipation",
 
 
 def _assert_identical(a, b):
-    """Every record, snapshot, verdict and count of two traces, bit for bit."""
+    """Every record, snapshot, verdict and count of two traces, and the loop
+    state they stopped in, bit for bit."""
     for name in _RECORDS:
         assert (np.array(getattr(a, name)).tobytes()
                 == np.array(getattr(b, name)).tobytes()), name
@@ -180,7 +182,7 @@ def _assert_identical(a, b):
     for (_, p), (_, q) in zip(a.snapshots, b.snapshots):
         assert p.values.tobytes() == q.values.tobytes()
     for name in ("verdict", "blowup_time", "blowup_xi", "clip_events",
-                 "rejected_nonfinite", "rejected_spike"):
+                 "rejected_spike", "_stop"):
         assert getattr(a, name) == getattr(b, name), name
 
 
@@ -244,7 +246,29 @@ class TestResume:
         monkeypatch.setattr(solver._Workspace, "advance", fail_after_the_first_step)
         first, resumed, fresh = _resume_and_fresh(_config(grid), M0)
         assert first.verdict == VERDICT_STEP_FLOOR
-        assert first.rejected_nonfinite > 0
+        assert len(first.times) == 2  # only the first step was accepted
+        _assert_identical(resumed, fresh)
+
+    def test_step_floor_after_tenfold_growth(self, monkeypatch):
+        # every trial fails once sup u has grown tenfold, so dt is halved
+        # under dt_min and the floor verdict is blowup without a threshold
+        # crossing; resume must stop at the floor again, not step on
+        grid = Grid.regular(256, gamma=3.0)
+        M0 = preset_profile("barrier", 10.0 * np.pi, grid, a=0.01)
+        u0 = solver._Workspace(grid, M0.total_mass).density(M0.values).max()
+        advance = solver._Workspace.advance
+
+        def fail_after_tenfold_growth(self, dt):
+            out = advance(self, dt)
+            if self.density(self._M).max() > 10.0 * u0:
+                out[1] = np.nan
+            return out
+
+        monkeypatch.setattr(solver._Workspace, "advance", fail_after_tenfold_growth)
+        first, resumed, fresh = _resume_and_fresh(
+            _config(grid, t_end=10.0, u_blowup_threshold=1e5), M0)
+        assert first.verdict == VERDICT_BLOWUP
+        assert first.blowup_xi is None and max(first.sup_u) < 1e5
         _assert_identical(resumed, fresh)
 
     def test_leaves_the_earlier_trace_unchanged(self):
