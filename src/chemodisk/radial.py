@@ -356,12 +356,13 @@ def second_moment(M: MassProfile) -> float:
 def preset_profile(kind: str, m: float, grid: Grid, **params) -> MassProfile:
     """Closed-form initial profiles, rescaled to total mass m.
 
-    kinds: "constant" (M = m*xi), "pks" (stationary planar profile with
-    scale lam, restricted to the disk and renormalized) and "barrier"
-    (the concave family with parameter a; small a is the concentrated,
-    near-Dirac preset).  This is the one check of initial data: a bad
-    kind or parameter raises here, and a closed form that overflows or
-    divides 0 by 0 comes out non-finite, which MassProfile rejects.
+    kinds: "constant" (M = m*xi), "barrier" (the concave family
+    m(a+1)xi/(a+xi); small a is the concentrated, near-Dirac preset) and
+    "pks" (the stationary planar profile with scale lam, restricted to the
+    disk and renormalized: the barrier family at a = lam^2).  This is the
+    one check of initial data: a bad kind or parameter raises here, and a
+    closed form that overflows or divides 0 by 0 comes out non-finite,
+    which MassProfile rejects.
     """
     xi = grid.nodes
     with np.errstate(all="ignore"):
@@ -369,22 +370,16 @@ def preset_profile(kind: str, m: float, grid: Grid, **params) -> MassProfile:
             if params:
                 raise ProfileError(f"constant preset takes no parameters, got {params}")
             values = m * xi
-        elif kind == "pks":
-            lam = params.pop("lam", None)
+        elif kind in ("pks", "barrier"):
+            key = "lam" if kind == "pks" else "a"
+            a = params.pop(key, None)
             if params:
-                raise ProfileError(f"unknown pks parameters {params}")
-            if lam is None or lam <= 0:
-                raise ProfileError("pks preset needs lam > 0")
-            # unscaled mass inside xi is 8*pi*xi/(lam^2 + xi); rescale to m.
-            # A NumPy square overflows to inf where a float's raises.
-            lam2 = np.float64(lam) ** 2
-            values = m * (lam2 + 1.0) * xi / (lam2 + xi)
-        elif kind == "barrier":
-            a = params.pop("a", None)
-            if params:
-                raise ProfileError(f"unknown barrier parameters {params}")
+                raise ProfileError(f"unknown {kind} parameters {params}")
             if a is None or a <= 0:
-                raise ProfileError("barrier preset needs a > 0")
+                raise ProfileError(f"{kind} preset needs {key} > 0")
+            if kind == "pks":
+                # a NumPy square overflows to inf where a float's raises
+                a = np.float64(a) ** 2
             values = m * (a + 1.0) * xi / (a + xi)
         else:
             raise ProfileError(f"unknown preset kind {kind!r}")

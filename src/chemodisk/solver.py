@@ -26,10 +26,13 @@ and let lo', up' be their images under one step of the same dt.
 
 So up' >= lo': the one-step map keeps order at every dt whenever the
 lower image is nondecreasing, and no CFL condition enters.  simulate
-checks every new profile for monotonicity and counts the clips it needs
-(SimulationTrace.clip_events).  The step bound (cfl_limit) controls
-accuracy only.  This is what lets closed-form barriers confine numerical
-solutions.
+checks every new profile for monotonicity and clips the ones that
+decrease by more than noise (SimulationTrace.clip_events).  The clip, a
+cumulative maximum and then a clip to [0, m], is itself order-preserving,
+so order holds for the clipped steps too, up to that noise level.  The
+step bound (cfl_limit) controls accuracy only.  This is what lets
+closed-form barriers confine numerical solutions, and
+verify_discrete_comparison checks it on exactly the steps simulate takes.
 """
 
 from __future__ import annotations
@@ -244,7 +247,7 @@ class _Workspace:
 
 
 def step(M: MassProfile, dt: float) -> MassProfile:
-    """Single time advance of a mass profile (standalone convenience)."""
+    """One step of the stepping loop: lag c at M, advance by dt, repair."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     ws = _Workspace(M.grid, M.total_mass)
@@ -301,15 +304,10 @@ def resume(config: SchemeConfig, trace: SimulationTrace) -> SimulationTrace:
     once, a run stopped at the step floor gets its floor verdict again, and
     a run stopped by the threshold stops at the same step if its last sup u
     is still above the new one, else keeps stepping (its stop snapshot is
-    dropped unless it was also a landing snapshot).  The trace passed in,
-    its lists and its snapshot arrays are not changed.
-
-    Exactness: the threshold enters a step's acceptance only through the
-    spike guard's floor, threshold * 1e-3, and a higher threshold only
-    relaxes that floor.  So whenever the earlier run rejected no trial as a
-    spike (trace.rejected_spike == 0), the result equals a fresh simulate
-    under config bit for bit.  Otherwise it is the earlier run continued: a
-    trial rejected as a spike there might be accepted by a fresh run.
+    dropped unless it was also a landing snapshot).  The threshold decides
+    where a run stops, never which steps it takes, so the result equals a
+    fresh simulate under config bit for bit.  The trace passed in, its
+    lists and its snapshot arrays are not changed.
     """
     stop = trace._stop
     if stop is None:
@@ -341,6 +339,9 @@ def _integrate(ws: _Workspace, trace: SimulationTrace, M,
     pending, peak_xi = state.pending, state.peak_xi
     m = trace.total_mass
     threshold = config.threshold(m)
+    # a tenfold jump of sup u is a spike only above this floor; it does not
+    # depend on the threshold, so a run's steps do not either (resume)
+    spike_floor = 1e3 * m / np.pi
     t = trace.times[-1]
     sup_u0 = trace.sup_u[0]
     while True:
@@ -355,6 +356,10 @@ def _integrate(ws: _Workspace, trace: SimulationTrace, M,
                 trace.snapshots.append((t, MassProfile(config.grid, M.copy(), m)))
                 while next_snap <= t + 1e-12:
                     next_snap += config.snapshot_every
+                # a sum of snapshot_every within the landing tolerance of
+                # t_end is t_end, or the run ends on a sub-ulp step
+                if abs(next_snap - config.t_end) <= 1e-12:
+                    next_snap = config.t_end
             dt = min(1.5 * dt, config.cfl * ws.lag(M))
             pending = False
         if pending is not None and dt < config.dt_min:
@@ -375,7 +380,7 @@ def _integrate(ws: _Workspace, trace: SimulationTrace, M,
         pending = False
         if diag is None or not np.isfinite(diag[2]):
             dt *= 0.5
-        elif diag[0] > 10.0 * trace.sup_u[-1] and diag[0] > threshold * 1e-3:
+        elif diag[0] > 10.0 * trace.sup_u[-1] and diag[0] > spike_floor:
             trace.rejected_spike += 1
             dt *= 0.5
         else:
@@ -394,7 +399,12 @@ def _integrate(ws: _Workspace, trace: SimulationTrace, M,
 
 def verify_discrete_comparison(lower0: MassProfile, upper0: MassProfile,
                                T: float, config: SchemeConfig) -> ComparisonReport:
-    """Co-evolve an ordered pair with identical steps; report worst violation."""
+    """Step an ordered pair with simulate's steps; report the worst violation.
+
+    simulate(replace(config, t_end=T), lower0) chooses the steps.  Both
+    profiles then take each accepted step through step, the map the
+    stepping loop applies, so the lower one retraces that run bit for bit.
+    """
     if lower0.grid != upper0.grid:
         raise ValueError("profiles must share a grid")
     m = lower0.total_mass
@@ -404,24 +414,13 @@ def verify_discrete_comparison(lower0: MassProfile, upper0: MassProfile,
     gap0 = upper0.values - lower0.values
     if gap0.min() < -1e-14 * m:
         raise ValueError(f"initial ordering violated by {-gap0.min():.3g}")
-    ws_lo = _Workspace(config.grid, m)
-    ws_up = _Workspace(config.grid, m)
-    lo = lower0.values.copy()
-    up = upper0.values.copy()
-    t = 0.0
+    run = simulate(replace(config, t_end=T), lower0)
+    lo, up = lower0, upper0
     worst = 0.0
-    steps = 0
-    while t < T:
-        dt = config.cfl * min(ws_lo.lag(lo), ws_up.lag(up))
-        dt = min(dt, config.dt0 * 1e3, T - t)
-        if dt < config.dt_min:
-            break
-        lo = ws_lo.advance(dt)
-        up = ws_up.advance(dt)
-        t += dt
-        steps += 1
-        worst = max(worst, float((lo - up).max(initial=0.0)))
-    return ComparisonReport(worst, t, steps)
+    for dt in run.dts[1:]:
+        lo, up = step(lo, dt), step(up, dt)
+        worst = max(worst, float((lo.values - up.values).max(initial=0.0)))
+    return ComparisonReport(worst, run.times[-1], len(run.dts) - 1)
 
 
 def bound_gradient_v(trace: SimulationTrace) -> float:

@@ -4,7 +4,7 @@ exit code of ``chemodisk scenario`` follows that last line."""
 import numpy as np
 import pytest
 
-from chemodisk import cli, solver
+from chemodisk import cli
 from chemodisk.config import parse_config
 
 # the supercritical concentrated run that collapses at t = 0.020, where the
@@ -82,20 +82,3 @@ def test_blowup_doubled_run_writes_what_a_fresh_run_writes(tmp_path, doc):
     # the scenario continues its n=1024 run; a fresh run must write the same bytes
     _assert_doubled_run_is_fresh(tmp_path, doc)
 
-
-def test_blowup_reruns_the_doubled_run_after_a_spike(tmp_path, monkeypatch):
-    # every run rejects its first trial as a spike; a continuation could then
-    # differ from a fresh run, so the scenario must not continue
-    diagnostics = solver._Workspace.diagnostics
-
-    def first_trial_spikes(self, M):
-        self.calls = getattr(self, "calls", 0) + 1  # call 1 is the initial record
-        diag = diagnostics(self, M)
-        return (1e300,) + diag[1:] if self.calls == 2 else diag
-
-    def no_resume(config, trace):
-        raise AssertionError("resumed a run that rejected a spike")
-
-    monkeypatch.setattr(solver._Workspace, "diagnostics", first_trial_spikes)
-    monkeypatch.setattr(solver, "resume", no_resume)
-    _assert_doubled_run_is_fresh(tmp_path, README_BLOWUP)

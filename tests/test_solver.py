@@ -106,6 +106,17 @@ class TestSimulate:
         times = [t for t, _ in trace.snapshots]
         assert times == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0], abs=1e-12)
 
+    def test_final_snapshot_lands_on_t_end(self):
+        # ten sums of 0.1 fall 1.1e-16 short of t_end = 1; that snapshot time
+        # is t_end, so no sub-ulp step follows it and the final profile is kept
+        grid = Grid.regular(256)
+        M0 = preset_profile("pks", M8, grid, lam=0.5)
+        trace = simulate(_config(grid, t_end=1.0, snapshot_every=0.1), M0)
+        assert trace.verdict == VERDICT_COMPLETED
+        assert min(trace.dts[1:]) >= 1e-12
+        assert trace.snapshots[-1][0] == trace.times[-1] == 1.0
+        assert _replay(M0, trace).tobytes() == trace.snapshots[-1][1].values.tobytes()
+
     def test_blowup_detected_supercritical(self):
         grid = Grid.regular(256, gamma=3.0)
         cfg = _config(grid, t_end=10.0, snapshot_every=1.0,
@@ -184,6 +195,30 @@ def _assert_identical(a, b):
     for name in ("verdict", "blowup_time", "blowup_xi", "clip_events",
                  "rejected_spike", "_stop"):
         assert getattr(a, name) == getattr(b, name), name
+
+
+def _replay(M0, trace):
+    """The profile reached by taking the run's accepted steps through step."""
+    M = M0
+    for dt in trace.dts[1:]:
+        M = step(M, dt)
+    return M.values
+
+
+@pytest.mark.parametrize("grid,kind,m,param,kw", [
+    (Grid.regular(128), "pks", 4.0 * np.pi, {"lam": 0.5}, {}),
+    (Grid.regular(256, gamma=3.0), "barrier", 10.0 * np.pi, {"a": 0.01},
+     {"t_end": 10.0, "u_blowup_threshold": 1e5}),
+    # the stop step is cut short to land on the snapshot at t = 0.01988
+    (Grid.regular(256, gamma=3.0), "barrier", 10.0 * np.pi, {"a": 0.01},
+     {"snapshot_every": 0.01988, "u_blowup_threshold": 1e5}),
+], ids=["completed", "blowup", "blowup-at-a-landing"])
+def test_replaying_the_accepted_steps_reproduces_the_run(grid, kind, m, param, kw):
+    # the invariant verify_discrete_comparison rests on
+    M0 = preset_profile(kind, m, grid, **param)
+    trace = simulate(_config(grid, **kw), M0)
+    assert trace.snapshots[-1][0] == trace.times[-1]
+    assert _replay(M0, trace).tobytes() == trace.snapshots[-1][1].values.tobytes()
 
 
 def _resume_and_fresh(cfg, M0):
@@ -271,6 +306,30 @@ class TestResume:
         assert first.blowup_xi is None and max(first.sup_u) < 1e5
         _assert_identical(resumed, fresh)
 
+    def test_equals_a_fresh_run_after_a_spike_rejection(self, monkeypatch):
+        # the first trial from M0 reports sup u = 1.2e4, a tenfold jump that
+        # lies between a spike floor of threshold * 1e-3 at 7e6 and at 1.4e7
+        grid = Grid.regular(256, gamma=3.0)
+        M0 = preset_profile("barrier", 10.0 * np.pi, grid, a=0.01)
+        diagnostics = solver._Workspace.diagnostics
+
+        def first_trial_from_m0_spikes(self, M):
+            diag = diagnostics(self, M)
+            lagged = getattr(self, "_M", None)  # unset for the initial record
+            if (lagged is None or getattr(self, "spiked", False)
+                    or not np.array_equal(lagged, M0.values)):
+                return diag
+            self.spiked = True
+            return (1.2e4,) + diag[1:]
+
+        monkeypatch.setattr(solver._Workspace, "diagnostics", first_trial_from_m0_spikes)
+        first, resumed, fresh = _resume_and_fresh(
+            _config(grid, t_end=10.0, u_blowup_threshold=7e6), M0)
+        assert first.rejected_spike == fresh.rejected_spike == 1
+        assert first.verdict == resumed.verdict == VERDICT_BLOWUP
+        assert len(resumed.times) > len(first.times)
+        _assert_identical(resumed, fresh)
+
     def test_leaves_the_earlier_trace_unchanged(self):
         grid = Grid.regular(256, gamma=3.0)
         cfg = _config(grid, t_end=10.0, u_blowup_threshold=1e5)
@@ -290,7 +349,7 @@ class TestResume:
             solver.resume(replace(cfg, t_end=2.0, u_blowup_threshold=1e9), trace)
 
     def test_refuses_a_lower_threshold(self):
-        # a lower threshold tightens the spike guard, so a fresh run may differ
+        # a lower threshold could have stopped the run earlier
         grid = Grid.regular(128)
         cfg = _config(grid, u_blowup_threshold=1e5)
         trace = simulate(cfg, preset_profile("pks", 4.0 * np.pi, grid, lam=0.5))
@@ -347,6 +406,24 @@ class TestComparison:
         up = preset_profile("constant", M8, grid)
         with pytest.raises(ValueError, match="mass"):
             verify_discrete_comparison(lo, up, 0.1, _config(grid))
+
+
+@pytest.mark.parametrize("grid,lo,up,T,kw,verdict", [
+    (Grid.regular(256), SubBarrier(1.0, 4.0 * np.pi), SuperBarrier(0.5, 4.0 * np.pi),
+     0.5, {}, VERDICT_COMPLETED),
+    # a concentrated pair whose lower run stops at the threshold before T
+    (Grid.regular(256, gamma=3.0), SuperBarrier(0.01, 10.0 * np.pi),
+     SuperBarrier(0.005, 10.0 * np.pi), 10.0, {"u_blowup_threshold": 1e5},
+     VERDICT_BLOWUP),
+], ids=["completed", "blowup"])
+def test_comparison_takes_the_steps_of_simulate(grid, lo, up, T, kw, verdict):
+    lo, up = lo.profile(grid), up.profile(grid)
+    cfg = _config(grid, **kw)
+    rep = verify_discrete_comparison(lo, up, T, cfg)
+    run = simulate(replace(cfg, t_end=T), lo)
+    assert run.verdict == verdict
+    assert (rep.steps, rep.t_final) == (len(run.times) - 1, run.times[-1])
+    assert rep.max_violation <= 1e-10 * lo.total_mass
 
 
 class TestBarrierConfinement:
