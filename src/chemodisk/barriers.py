@@ -56,8 +56,13 @@ class SuperBarrier:
         if self.m <= 0:
             raise ValueError("mass must be positive")
 
+    @staticmethod
+    def closed_form(a, m, xi):
+        """m(a+1)xi/(a+xi), broadcast over a, m and xi."""
+        return m * (a + 1.0) * xi / (a + xi)
+
     def value(self, xi):
-        return self.m * (self.a + 1.0) * xi / (self.a + xi)
+        return self.closed_form(self.a, self.m, xi)
 
     def slope(self, xi):
         return self.m * (self.a + 1.0) * self.a / (self.a + xi) ** 2
@@ -86,8 +91,13 @@ class SubBarrier:
         if self.m <= 0:
             raise ValueError("mass must be positive")
 
+    @staticmethod
+    def closed_form(b, m, xi):
+        """m*b*xi/(b+1-xi), broadcast over b, m and xi."""
+        return m * b * xi / (b + 1.0 - xi)
+
     def value(self, xi):
-        return self.m * self.b * xi / (self.b + 1.0 - xi)
+        return self.closed_form(self.b, self.m, xi)
 
     def slope(self, xi):
         return self.m * (self.b + 1.0) * self.b / (self.b + 1.0 - xi) ** 2
@@ -109,7 +119,12 @@ class SubBarrier:
 
 def stationary_operator(w, w1, w2, m, xi):
     """Q W = -4 xi W'' - W W' / pi + m xi W' / pi from nodal W, W', W''."""
-    return -4.0 * xi * w2 - w * w1 / np.pi + m * xi * w1 / np.pi
+    return _q(w, w1, w2, -4.0 * xi, m * xi)
+
+
+def _q(w, w1, w2, neg4xi, mxi):
+    """stationary_operator with its grid factors -4 xi and m xi precomputed."""
+    return neg4xi * w2 - w * w1 / np.pi + mxi * w1 / np.pi
 
 
 def apply_q(w, m: float, xi, method: str = "analytic"):
@@ -252,11 +267,16 @@ def separation_margin(upper: MassProfile, lower: MassProfile) -> float:
     """
     if upper.grid != lower.grid:
         raise ValueError("profiles must share a grid")
-    xi = upper.grid.nodes[1:-1]
     gap = upper.values[1:-1] - lower.values[1:-1]
     if gap.min() < -1e-12 * upper.total_mass:
         raise DominationError(int(np.argmin(gap)) + 1, float(gap.min()))
-    return float(np.min(gap / (xi * (1.0 - xi))))
+    return float(_margins(gap, upper.grid.nodes))
+
+
+def _margins(gap, xi):
+    """min over the last axis of gap / (xi (1 - xi)), gap at the interior nodes of xi."""
+    xi = xi[1:-1]
+    return np.min(gap / (xi * (1.0 - xi)), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,8 @@ _SCHEME_FIELDS = [f for f in fields(SchemeConfig) if f.name != "grid"]
 
 # the initial.* parameter keys and the preset_profile parameters they set
 _PRESET_PARAMS = {"initial.lambda": "lam", "initial.a": "a"}
+# the initial.* key of each preset_profile argument
+_PRESET_KEYS = {"kind": "initial.kind", **{v: k for k, v in _PRESET_PARAMS.items()}}
 
 _DEFAULTS = {
     "grid.n": 512,
@@ -105,8 +107,9 @@ def parse_config(document) -> ExperimentConfig:
 
     Missing keys get defaults; unknown keys and out-of-range values are
     rejected before any run starts.  The scheme values are checked by
-    SchemeConfig itself, and the mass and the initial.* keys by
-    preset_profile, which builds the initial profile once here.
+    SchemeConfig itself, and the initial.* keys by preset_profile, which
+    builds the initial profile once here.  Each error names the config
+    key at fault, or the section when no one key is.
     """
     if isinstance(document, str):
         document = _parse_text(document)
@@ -130,6 +133,8 @@ def parse_config(document) -> ExperimentConfig:
             raise ConfigError(f"{key}: bad numeric value {value!r}") from exc
 
     mass = number("mass")
+    if not (np.isfinite(mass) and mass > 0):
+        raise ConfigError(f"mass: must be positive and finite, got {merged['mass']!r}")
     n = number("grid.n", _parse_integer)
     gamma = number("grid.gamma")
     seed = number("seed", _parse_integer)
@@ -150,7 +155,9 @@ def parse_config(document) -> ExperimentConfig:
         section = "initial"
         preset_profile(kind, mass, grid, **params)
     except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+        # name the initial.* key of the preset parameter at fault, if one is
+        key = _PRESET_KEYS.get(getattr(exc, "param", None), section)
+        raise ConfigError(f"{key}: {exc}") from exc
 
     return ExperimentConfig(mass=mass, n=n, gamma=gamma, scheme_params=scheme_params,
                             initial_kind=kind, initial_params=params,

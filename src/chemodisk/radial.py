@@ -21,7 +21,14 @@ _MONO_TOL = 1e-9
 
 
 class ProfileError(ValueError):
-    """A field or profile violates one of its structural invariants."""
+    """A field or profile violates one of its structural invariants.
+
+    param names the preset_profile argument at fault, if one is.
+    """
+
+    def __init__(self, message: str, param: str | None = None):
+        super().__init__(message)
+        self.param = param
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +108,14 @@ class FirstDerivative:
         for a in (self.lo, self.mid, self.hi):
             a.setflags(write=False)  # shared by every user of a cached Grid.stencil
 
+    def interior(self, f: np.ndarray) -> np.ndarray:
+        """The derivative at the interior nodes only."""
+        return self.lo * f[:-2] + self.mid * f[1:-1] + self.hi * f[2:]
+
     def __call__(self, f: np.ndarray) -> np.ndarray:
         left, right = self.left, self.right
         out = np.empty_like(f)
-        out[1:-1] = self.lo * f[:-2] + self.mid * f[1:-1] + self.hi * f[2:]
+        out[1:-1] = self.interior(f)
         out[0] = left[0] * f[0] + left[1] * f[1] + left[2] * f[2]
         out[-1] = right[0] * f[-1] + right[1] * f[-2] + right[2] * f[-3]
         return out
@@ -115,7 +126,8 @@ class Stencil:
 
     d1_xi, d1_r: first derivatives in xi and in r = sqrt(xi).
     d2: interior second-derivative weights (lo, mid, hi) in xi, for matrix
-    assembly.  hm, hp: cell widths left and right of each interior node.
+    assembly; d2_interior applies the same derivative in factored form.
+    hm, hp: cell widths left and right of each interior node.
     w_xi: trapezoid node weights for int . dxi over the grid.
     """
 
@@ -129,6 +141,16 @@ class Stencil:
         self.w_xi = 0.5 * np.concatenate(([dxi[0]], dxi[:-1] + dxi[1:], [dxi[-1]]))
         for a in (hm, hp, *self.d2, self.w_xi):
             a.setflags(write=False)
+
+    @cached_property
+    def _d2_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """hm + hp and hm hp (hm + hp), built on the first d2_interior call."""
+        hs = self.hm + self.hp
+        return hs, self.hm * self.hp * hs
+
+    def d2_interior(self, f: np.ndarray) -> np.ndarray:
+        """second_derivative_interior of f on this grid."""
+        return _second_difference(f, self.hm, self.hp, *self._d2_factors)
 
 
 class FittedOperator:
@@ -190,10 +212,15 @@ def second_derivative_interior(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     Applied in factored form, which rounds differently from the coefficient
     arrays of Stencil.d2 used for matrix assembly.
     """
-    values = np.asarray(values, dtype=float)
     hm, hp = _spacings(np.asarray(x, dtype=float))
-    return 2.0 * (hp * values[:-2] - (hm + hp) * values[1:-1] + hm * values[2:]) \
-        / (hm * hp * (hm + hp))
+    hs = hm + hp
+    return _second_difference(np.asarray(values, dtype=float), hm, hp, hs, hm * hp * hs)
+
+
+def _second_difference(f, hm, hp, hs, denom):
+    """2 (hp f_{i-1} - hs f_i + hm f_{i+1}) / denom, with hs = hm + hp and
+    denom = hm hp hs."""
+    return 2.0 * (hp * f[:-2] - hs * f[1:-1] + hm * f[2:]) / denom
 
 
 def _trapezoid_value(y: np.ndarray, x: np.ndarray) -> float:
@@ -262,18 +289,7 @@ class MassProfile:
             raise ProfileError("total mass must be positive")
         if values.shape != self.grid.nodes.shape:
             raise ProfileError("profile values must match the grid")
-        if not (np.isfinite(m) and np.all(np.isfinite(values))):
-            raise ProfileError("profile values and total mass must be finite")
-        tol = _MONO_TOL * m
-        if abs(values[0]) > tol:
-            raise ProfileError(f"M(0) = {values[0]!r}, expected 0")
-        if abs(values[-1] - m) > tol:
-            raise ProfileError(f"M(1) = {values[-1]!r}, expected m = {m!r}")
-        if np.any(np.diff(values) < -tol):
-            i = int(np.argmin(np.diff(values)))
-            raise ProfileError(f"profile decreases across cell {i}")
-        if values.min() < -tol or values.max() > m + tol:
-            raise ProfileError("profile escapes [0, m]")
+        _check_mass_rows(values, m)
         values = values.copy()
         values[0] = 0.0
         values[-1] = m
@@ -284,6 +300,39 @@ class MassProfile:
     @property
     def xi(self) -> np.ndarray:
         return self.grid.nodes
+
+
+def _check_mass_rows(values: np.ndarray, m: float) -> None:
+    """Check MassProfile's value invariants on every row of values.
+
+    values holds one profile of total mass m (a float) per row, nodes on
+    the last axis.  The first row that breaks an invariant raises
+    ProfileError, naming the first one it breaks: finite values and m,
+    M(0) = 0, M(1) = m, M nondecreasing, 0 <= M <= m, each up to
+    _MONO_TOL * m.
+    """
+    tol = _MONO_TOL * m
+    lo, hi = values.min(axis=-1), values.max(axis=-1)  # NaN where a value is
+    with np.errstate(invalid="ignore"):  # inf - inf in a row that fails anyway
+        drop = np.diff(values, axis=-1).min(axis=-1)
+    faults = (~(np.isfinite(lo) & np.isfinite(hi) & np.isfinite(m)),
+              np.abs(values[..., 0]) > tol,
+              np.abs(values[..., -1] - m) > tol,
+              drop < -tol,
+              (lo < -tol) | (hi > m + tol))
+    bad = np.ravel(faults[0] | faults[1] | faults[2] | faults[3] | faults[4])
+    if not bad.any():
+        return
+    row = int(np.argmax(bad))
+    v = values.reshape(-1, values.shape[-1])[row]
+    first = next(j for j, f in enumerate(faults) if np.ravel(f)[row])
+    with np.errstate(invalid="ignore"):
+        messages = ("profile values and total mass must be finite",
+                    f"M(0) = {v[0]!r}, expected 0",
+                    f"M(1) = {v[-1]!r}, expected m = {m!r}",
+                    f"profile decreases across cell {int(np.argmin(np.diff(v)))}",
+                    "profile escapes [0, m]")
+    raise ProfileError(messages[first])
 
 
 @dataclass(frozen=True)
@@ -364,23 +413,27 @@ def preset_profile(kind: str, m: float, grid: Grid, **params) -> MassProfile:
     closed form that overflows or divides 0 by 0 comes out non-finite,
     which MassProfile rejects.
     """
+    from .barriers import SuperBarrier  # barriers imports this module
+
     xi = grid.nodes
     with np.errstate(all="ignore"):
         if kind == "constant":
             if params:
-                raise ProfileError(f"constant preset takes no parameters, got {params}")
+                raise ProfileError(f"constant preset takes no parameters, got {params}",
+                                   next(iter(params)))
             values = m * xi
         elif kind in ("pks", "barrier"):
             key = "lam" if kind == "pks" else "a"
             a = params.pop(key, None)
             if params:
-                raise ProfileError(f"unknown {kind} parameters {params}")
+                raise ProfileError(f"unknown {kind} parameters {params}",
+                                   next(iter(params)))
             if a is None or a <= 0:
-                raise ProfileError(f"{kind} preset needs {key} > 0")
+                raise ProfileError(f"{kind} preset needs {key} > 0", key)
             if kind == "pks":
                 # a NumPy square overflows to inf where a float's raises
                 a = np.float64(a) ** 2
-            values = m * (a + 1.0) * xi / (a + xi)
+            values = SuperBarrier.closed_form(a, m, xi)
         else:
-            raise ProfileError(f"unknown preset kind {kind!r}")
+            raise ProfileError(f"unknown preset kind {kind!r}", "kind")
     return MassProfile(grid, values, m)

@@ -230,6 +230,11 @@ class _Workspace:
         out[-1] = self.m
         return out, True
 
+    def step(self, M, dt):
+        """lag at M, advance by dt, repair: the map of one stepping-loop step."""
+        self.lag(M)
+        return self.repair_monotone(self.advance(dt))[0]
+
     def diagnostics(self, M):
         """(sup_u, sup M/xi, free energy, dissipation, second moment, peak_xi)."""
         m = self.m
@@ -250,10 +255,7 @@ def step(M: MassProfile, dt: float) -> MassProfile:
     """One step of the stepping loop: lag c at M, advance by dt, repair."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    ws = _Workspace(M.grid, M.total_mass)
-    ws.lag(M.values)
-    out = ws.advance(dt)
-    out, _ = ws.repair_monotone(out)
+    out = _Workspace(M.grid, M.total_mass).step(M.values, dt)
     return MassProfile(M.grid, out, M.total_mass)
 
 
@@ -402,8 +404,9 @@ def verify_discrete_comparison(lower0: MassProfile, upper0: MassProfile,
     """Step an ordered pair with simulate's steps; report the worst violation.
 
     simulate(replace(config, t_end=T), lower0) chooses the steps.  Both
-    profiles then take each accepted step through step, the map the
-    stepping loop applies, so the lower one retraces that run bit for bit.
+    profiles then take each accepted step through the map the stepping loop
+    applies (_Workspace.step, one workspace per profile), so the lower one
+    retraces that run bit for bit.
     """
     if lower0.grid != upper0.grid:
         raise ValueError("profiles must share a grid")
@@ -415,10 +418,13 @@ def verify_discrete_comparison(lower0: MassProfile, upper0: MassProfile,
     if gap0.min() < -1e-14 * m:
         raise ValueError(f"initial ordering violated by {-gap0.min():.3g}")
     run = simulate(replace(config, t_end=T), lower0)
+    grid = lower0.grid
+    ws_lo, ws_up = _Workspace(grid, m), _Workspace(grid, m)
     lo, up = lower0, upper0
     worst = 0.0
     for dt in run.dts[1:]:
-        lo, up = step(lo, dt), step(up, dt)
+        lo = MassProfile(grid, ws_lo.step(lo.values, dt), m)
+        up = MassProfile(grid, ws_up.step(up.values, dt), m)
         worst = max(worst, float((lo.values - up.values).max(initial=0.0)))
     return ComparisonReport(worst, run.times[-1], len(run.dts) - 1)
 

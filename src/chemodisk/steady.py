@@ -16,16 +16,18 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from . import radial
-from .radial import Grid, MassProfile, second_derivative_interior
-from .barriers import (SuperBarrier, SubBarrier, default_derivative_bound,
-                       find_dominating_super, find_dominated_sub,
-                       separation_margin, stationary_operator)
+from .radial import Grid, MassProfile, _check_mass_rows
+from .barriers import (SuperBarrier, SubBarrier, _margins, _q,
+                       default_derivative_bound, find_dominating_super,
+                       find_dominated_sub)
 
 # Newton stops at max|Q(W)| or max|delta| below this times m
 _NEWTON_TOL_REL = 1e-10
 _NEWTON_MAX_ITER = 100
 # sampled parameters per barrier family in the uniqueness sweep
 _SWEEP_SAMPLES = 50
+# most barrier values (parameters x nodes) the sweep holds at once
+_SWEEP_BLOCK = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -64,28 +66,52 @@ def stationary_residual(W: MassProfile) -> np.ndarray:
     return _residual_arrays(W.values, W.grid, W.total_mass)
 
 
+class _NewtonOperator:
+    """The interior residual map of one grid and mass, with its Jacobian.
+
+    Holds the grid factors once per solve: the D1 and D2 weights, the bands
+    -4 xi D2 and m xi.
+    """
+
+    def __init__(self, grid: Grid, m: float):
+        st = grid.stencil
+        xi = grid.nodes[1:-1]
+        self._st = st
+        self._d1 = st.d1_xi
+        self._neg4xi = -4.0 * xi
+        self._mxi = m * xi
+        self._bands = tuple(self._neg4xi * c for c in st.d2)
+
+    def residual(self, w):
+        """(Q(W), W') at the interior nodes."""
+        d1 = self._d1.interior(w)
+        d2 = self._st.d2_interior(w)
+        return _q(w[1:-1], d1, d2, self._neg4xi, self._mxi), d1
+
+    def jacobian(self, w, d1):
+        """(sub, diagonal, super) bands of the Jacobian at W, as dgtsv takes
+        them; d1 is W' from residual(w)."""
+        D1 = self._d1
+        lo2, mid2, hi2 = self._bands
+        drift = (self._mxi - w[1:-1]) / np.pi
+        diag = mid2 + drift * D1.mid - d1 / np.pi
+        lower = lo2[1:] + drift[1:] * D1.lo[1:]
+        upper = hi2[:-1] + drift[:-1] * D1.hi[:-1]
+        return lower, diag, upper
+
+
 def _residual_arrays(w, grid: Grid, m):
-    xi = grid.nodes
-    d1 = grid.stencil.d1_xi(w)[1:-1]
-    d2 = second_derivative_interior(w, xi)
-    return stationary_operator(w[1:-1], d1, d2, m, xi[1:-1])
+    return _NewtonOperator(grid, m).residual(w)[0]
 
 
 def _jacobian_banded(w, grid: Grid, m):
     """Banded Jacobian of the interior residual map (interior unknowns only)."""
-    st = grid.stencil
-    cA1, cB1, cC1 = st.d1_xi.lo, st.d1_xi.mid, st.d1_xi.hi
-    cA2, cB2, cC2 = st.d2
-    d1 = st.d1_xi(w)[1:-1]
-    xi_in = grid.nodes[1:-1]
-    drift = (m * xi_in - w[1:-1]) / np.pi
-    diag = -4.0 * xi_in * cB2 + drift * cB1 - d1 / np.pi
-    lower = -4.0 * xi_in * cA2 + drift * cA1
-    upper = -4.0 * xi_in * cC2 + drift * cC1
+    op = _NewtonOperator(grid, m)
+    lower, diag, upper = op.jacobian(w, op.residual(w)[1])
     ab = np.zeros((3, grid.n - 1))
-    ab[0, 1:] = upper[:-1]
+    ab[0, 1:] = upper
     ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
+    ab[2, :-1] = lower
     return ab
 
 
@@ -117,6 +143,7 @@ def solve_stationary_newton(init: MassProfile) -> NewtonResult:
     grid = init.grid
     xi = grid.nodes
     m = init.total_mass
+    op = _NewtonOperator(grid, m)
     w = np.clip(init.values.copy(), 0.0, m)
     w[0] = 0.0
     w[-1] = m
@@ -128,24 +155,24 @@ def solve_stationary_newton(init: MassProfile) -> NewtonResult:
         trial = w.copy()
         trial[1:-1] += step
         np.clip(trial, 0.0, m, out=trial)
-        trial_res = _residual_arrays(trial, grid, m)
-        return trial, trial_res, float(np.abs(trial_res).max())
+        trial_res = op.residual(trial)
+        return trial, trial_res, float(np.abs(trial_res[0]).max())
 
     def accept(trial, trial_res, norm):
+        """Record an accepted iterate; return it with its residual and W'."""
         norms.append(norm)
         dists.append(float(np.abs(trial - m * xi).max()))
-        return trial, trial_res
+        return trial, *trial_res
 
-    res = _residual_arrays(w, grid, m)
-    w, res = accept(w, res, float(np.abs(res).max()))
+    start = op.residual(w)
+    w, res, d1 = accept(w, start, float(np.abs(start[0]).max()))
     it = 0
     shift = 0.0
     shifted_steps = 0
     slow = 0
     converged = norms[-1] < tol
     while not converged and it < _NEWTON_MAX_ITER:
-        ab = _jacobian_banded(w, grid, m)
-        lower, diag, upper = ab[2, :-1], ab[1], ab[0, 1:]
+        lower, diag, upper = op.jacobian(w, d1)
         _, _, _, delta, info = dgtsv(lower, diag + shift, upper, -res)
         if info == 0 and shift and np.abs(delta).max() <= tol:
             _, _, _, full, info = dgtsv(lower, diag, upper, -res)
@@ -155,7 +182,7 @@ def solve_stationary_newton(init: MassProfile) -> NewtonResult:
             break
         it += 1
         if not shift and np.abs(delta).max() <= tol:  # false if non-finite
-            w, res = accept(*step_to(delta))
+            w, res, d1 = accept(*step_to(delta))
             converged = True
             break
         if shift:
@@ -164,7 +191,7 @@ def solve_stationary_newton(init: MassProfile) -> NewtonResult:
                 shift *= norm / norms[-1]
                 shift = shift if shift >= 1e-12 else 0.0
                 shifted_steps += 1
-                w, res = accept(trial, trial_res, norm)
+                w, res, d1 = accept(trial, trial_res, norm)
             else:
                 shift *= 2.0
         else:
@@ -174,7 +201,7 @@ def solve_stationary_newton(init: MassProfile) -> NewtonResult:
                 trial, trial_res, norm = step_to(lam * delta)
                 if np.isfinite(norm) and norm < norms[-1]:
                     slow = slow + 1 if norm > 0.9 * norms[-1] else 0
-                    w, res = accept(trial, trial_res, norm)
+                    w, res, d1 = accept(trial, trial_res, norm)
                     improved = True
                     break
                 lam *= 0.5
@@ -195,37 +222,27 @@ def uniqueness_sweep(W: MassProfile, param_max: float = 1e3) -> SweepReport:
     """Slide both barrier families from their envelope seeds out to param_max.
 
     The continuum argument proves the admissible parameter set is all of
-    (0, infinity); numerically we sample 50 log-spaced parameters per family,
-    check the nodewise ordering at each, and track separation margins.  A sandwiched
-    conclusion pins W to within the family gap at the sampled extremes.
+    (0, infinity); numerically we sample 50 log-spaced parameters per family
+    and, at each, check the nodewise ordering and record the separation
+    margin (the formula of separation_margin), stopping at the first
+    violated parameter; the sub family is swept only if the super family
+    holds.  Each family is evaluated from its closed form in blocks of
+    parameters x nodes of at most 2**20 values; every barrier profile up to
+    and including the first violated one is checked against MassProfile's
+    invariants, and a bad one raises the ProfileError that building it as a
+    MassProfile would.  A sandwiched conclusion pins W to within the family
+    gap at the sampled extremes.
     """
     m = W.total_mass
     xi = W.grid.nodes
     C = max(default_derivative_bound(W), 2.0 * m)
-    violated = None
 
-    a0 = find_dominating_super(W, C).a
-    a_values = np.geomspace(a0, param_max, _SWEEP_SAMPLES)
-    super_margins = np.full(_SWEEP_SAMPLES, np.nan)
-    for k, a in enumerate(a_values):
-        bar = SuperBarrier(a, m).profile(W.grid)
-        gap = bar.values - W.values
-        if gap.min() < -1e-12 * m:
-            violated = ("super", float(a), int(np.argmin(gap)))
-            break
-        super_margins[k] = separation_margin(bar, W)
-
-    b0 = find_dominated_sub(W, C).b
-    b_values = np.geomspace(b0, param_max, _SWEEP_SAMPLES)
+    a_values = np.geomspace(find_dominating_super(W, C).a, param_max, _SWEEP_SAMPLES)
+    super_margins, violated = _sweep_family(SuperBarrier, a_values, W, above=True)
+    b_values = np.geomspace(find_dominated_sub(W, C).b, param_max, _SWEEP_SAMPLES)
     sub_margins = np.full(_SWEEP_SAMPLES, np.nan)
     if violated is None:
-        for k, b in enumerate(b_values):
-            bar = SubBarrier(b, m).profile(W.grid)
-            gap = W.values - bar.values
-            if gap.min() < -1e-12 * m:
-                violated = ("sub", float(b), int(np.argmin(gap)))
-                break
-            sub_margins[k] = separation_margin(W, bar)
+        sub_margins, violated = _sweep_family(SubBarrier, b_values, W, above=False)
 
     conclusion = "sandwiched" if violated is None else "violated"
     final_gap = float(np.abs(W.values - m * xi).max())
@@ -233,6 +250,37 @@ def uniqueness_sweep(W: MassProfile, param_max: float = 1e3) -> SweepReport:
                 + (m * xi - SubBarrier(param_max, m).value(xi)).max())
     return SweepReport(a_values, super_margins, b_values, sub_margins,
                        conclusion, violated, final_gap, fam)
+
+
+def _sweep_family(family, params, W: MassProfile, above: bool):
+    """Margins of one barrier family against W, and (side, parameter, node)
+    of its first violated parameter, or None.
+
+    above: the family lies above W (SuperBarrier) or below it (SubBarrier).
+    Margins past the first violation stay NaN.
+    """
+    m = W.total_mass
+    xi = W.grid.nodes
+    w_in = W.values[1:-1]
+    margins = np.full(params.size, np.nan)
+    rows = max(1, _SWEEP_BLOCK // xi.size)
+    for start in range(0, params.size, rows):
+        block = params[start:start + rows]
+        # a non-finite row fails _check_mass_rows if it is reached, and is
+        # never built if it lies past the first violation
+        with np.errstate(all="ignore"):
+            bars = family.closed_form(block[:, None], m, xi)
+            # the boundary values of the profiles are pinned to 0 and m,
+            # where the gap is 0, so only interior nodes can fail the ordering
+            gap = bars[:, 1:-1] - w_in if above else w_in - bars[:, 1:-1]
+        bad = gap.min(axis=1) < -1e-12 * m
+        k = int(np.argmax(bad)) if bad.any() else block.size
+        _check_mass_rows(bars[:k + 1], m)
+        margins[start:start + k] = _margins(gap[:k], xi)
+        if k < block.size:
+            side = "super" if above else "sub"
+            return margins, (side, float(block[k]), int(np.argmin(gap[k])) + 1)
+    return margins, None
 
 
 def longtime_convergence(trace) -> LongtimeReport:

@@ -318,3 +318,26 @@ def test_garbage_initial_parameter_is_a_usage_error(tmp_path, capsys, mass, lam,
                      "--set", f"initial.lambda={lam}", "--out", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().err.startswith(prefix)
+
+
+# errors about the mass and the preset parameters name the config key
+@pytest.mark.parametrize("sets,key", [
+    (["mass=-1"], "mass"),
+    (["mass=0"], "mass"),
+    (["mass=inf"], "mass"),
+    (["mass=4pi", "initial.kind=pks"], "initial.lambda"),
+    (["mass=4pi", "initial.kind=pks", "initial.lambda=-0.3"], "initial.lambda"),
+    (["mass=4pi", "initial.kind=barrier"], "initial.a"),
+    (["mass=4pi", "initial.kind=barrier", "initial.a=0"], "initial.a"),
+    (["mass=4pi", "initial.kind=pks", "initial.lambda=0.3", "initial.a=1"], "initial.a"),
+    (["mass=4pi", "initial.lambda=0.3"], "initial.lambda"),
+    (["mass=4pi", "initial.kind=gauss"], "initial.kind"),
+], ids=["negative-mass", "zero-mass", "infinite-mass", "pks-without-lambda",
+        "negative-lambda", "barrier-without-a", "zero-a", "pks-with-a",
+        "constant-with-lambda", "unknown-kind"])
+def test_config_error_names_the_key(tmp_path, capsys, sets, key):
+    argv = ["simulate", "--out", str(tmp_path)]
+    for item in sets:
+        argv += ["--set", item]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
