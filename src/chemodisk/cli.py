@@ -226,47 +226,38 @@ def scenario_check(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
     grid = Grid.regular(256)
     m = cfg.mass
 
-    # barrier residual signs and FD agreement
+    # barrier residual signs and FD agreement (the barrier command's audit);
+    # the closed-form residual signs hold for masses up to 8*pi
     a_vals = np.geomspace(1e-3, 1e3, 10)
+    masses = np.linspace(min(m, EIGHT_PI) / 4, min(m, EIGHT_PI), 4)
     xi = np.linspace(0.02, 0.98, 25)
-    ok = True
-    for a in a_vals:
-        # the closed-form residual signs hold for masses up to 8*pi
-        for mm in np.linspace(min(m, EIGHT_PI) / 4, min(m, EIGHT_PI), 4):
-            closed = barriers.residual_super_closed_form(a, mm, xi)
-            fd = barriers.apply_q(barriers.SuperBarrier(a, mm), mm, xi, method="fd")
-            ok &= bool((closed > 0).all())
-            ok &= bool((np.abs(closed - fd) <= 1e-6 * np.abs(closed)).all())
-            ok &= bool((barriers.residual_sub_closed_form(a, mm, xi) < 0).all())
-    checks["barrier_residuals"] = ok
+    _, _, _, closed, _, err = np.array(barriers.audit_residuals(a_vals, masses, xi)).T
+    sub = barriers.residual_sub_closed_form(a_vals[:, None, None], masses[:, None], xi)
+    checks["barrier_residuals"] = bool((closed > 0).all()
+                                       and (err <= 1e-6 * np.abs(closed)).all()
+                                       and (sub < 0).all())
 
-    # transform round trip and moment identity
-    fields = energy.random_radial_profiles(5, grid, cfg.seed)
-    ok = True
-    for field in fields:
+    # transform round trip and moment identity; gradient bound and
+    # zero-average potential
+    transforms = potentials = True
+    r = grid.radii
+    for field in energy.random_radial_profiles(5, grid, cfg.seed):
         M = radial.mass_from_density(field, grid)
         lam = M.total_mass
         back = radial.density_from_mass(M)
-        ok &= bool(np.abs(back.values - field.values).max() < 1e-2 * lam)
+        transforms &= bool(np.abs(back.values - field.values).max() < 1e-2 * lam)
         lhs = radial.second_moment(M)
-        r = grid.radii
         rhs, est = radial.trapezoid(2 * np.pi * field.values * r ** 3, r)
         _, est2 = radial.trapezoid(M.values, grid.nodes)
-        ok &= bool(abs(lhs - rhs) <= 10 * (est + est2) + 1e-12 * lam)
-    checks["transform_identities"] = ok
-
-    # gradient bound and zero-average potential
-    ok = True
-    for field in fields:
-        M = radial.mass_from_density(field, grid)
-        lam = M.total_mass
+        transforms &= bool(abs(lhs - rhs) <= 10 * (est + est2) + 1e-12 * lam)
         s = radial.potential_slope_from_mass(M)
         sup_mxi = np.max(M.values[1:] / grid.nodes[1:])
-        ok &= bool(2 * np.pi * np.abs(s.values).max() <= sup_mxi + lam + 1e-9)
+        potentials &= bool(2 * np.pi * np.abs(s.values).max() <= sup_mxi + lam + 1e-9)
         v = radial.potential_from_slope(s)
         avg, est = radial.trapezoid(v.values, grid.nodes)
-        ok &= bool(abs(avg) < max(est, 1e-12))
-    checks["potential_reconstruction"] = ok
+        potentials &= bool(abs(avg) < max(est, 1e-12))
+    checks["transform_identities"] = transforms
+    checks["potential_reconstruction"] = potentials
 
     # discrete comparison on one ordered pair
     low = barriers.SubBarrier(1.0, m).profile(grid)
@@ -300,6 +291,8 @@ def scenario_blowup(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
     doubling the threshold (fine grid), and that the attained peak grows
     under refinement.  The doubled-threshold run continues the fine run
     from where it stopped (solver.resume) instead of repeating its steps.
+    A run that starts above the threshold stops after one step, so it fails
+    the scenario with initial_below_threshold=False in the summary.
     """
     out = Path(out_dir)
     m = cfg.mass
@@ -319,6 +312,7 @@ def scenario_blowup(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
     trace_d = solver.resume(doubled.scheme(), trace_f)
     write_run(trace_d, out / "n1024_doubled")
     traces = [trace_c, trace_f, trace_d]
+    below = max(trace_c.sup_u[0], trace_f.sup_u[0]) <= threshold
     summary = {
         "threshold": threshold,
         "verdict_n512": trace_c.verdict,
@@ -330,7 +324,9 @@ def scenario_blowup(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
         "peak_n512": max(trace_c.sup_u),
         "peak_n1024": max(trace_f.sup_u),
     }
-    ok = all(trace.verdict == VERDICT_BLOWUP for trace in traces)
+    if not below:
+        summary["initial_below_threshold"] = False
+    ok = below and all(trace.verdict == VERDICT_BLOWUP for trace in traces)
     if ok:
         summary["peak_innermost"] = (trace_c.blowup_xi == coarse.grid().nodes[1]
                                      and trace_f.blowup_xi == fine.grid().nodes[1])

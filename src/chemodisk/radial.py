@@ -87,6 +87,18 @@ def _spacings(x):
     return x[1:-1] - x[:-2], x[2:] - x[1:-1]
 
 
+def _d2_weights(hm, hp):
+    """Second-derivative weights (lo, mid, hi) at nodes with cell widths
+    hm, hp on either side; exact on quadratics."""
+    denom = hm * hp * (hm + hp)
+    return 2.0 * hp / denom, -2.0 * (hm + hp) / denom, 2.0 * hm / denom
+
+
+def _apply3(lo, mid, hi, f):
+    """Three-point weights (lo, mid, hi) applied at the interior nodes of f."""
+    return lo * f[:-2] + mid * f[1:-1] + hi * f[2:]
+
+
 class FirstDerivative:
     """Three-point first-derivative weights on nonuniform nodes x.
 
@@ -110,7 +122,7 @@ class FirstDerivative:
 
     def interior(self, f: np.ndarray) -> np.ndarray:
         """The derivative at the interior nodes only."""
-        return self.lo * f[:-2] + self.mid * f[1:-1] + self.hi * f[2:]
+        return _apply3(self.lo, self.mid, self.hi, f)
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
         left, right = self.left, self.right
@@ -125,16 +137,15 @@ class Stencil:
     """The three-point operators of one grid; built once per grid as Grid.stencil.
 
     d1_xi, d1_r: first derivatives in xi and in r = sqrt(xi).
-    d2: interior second-derivative weights (lo, mid, hi) in xi, for matrix
-    assembly; d2_interior applies the same derivative in factored form.
+    d2: interior second-derivative weights (lo, mid, hi) in xi;
+    d2_interior applies them.
     hm, hp: cell widths left and right of each interior node.
     w_xi: trapezoid node weights for int . dxi over the grid.
     """
 
     def __init__(self, xi: np.ndarray, r: np.ndarray):
         self.hm, self.hp = hm, hp = _spacings(xi)
-        denom = hm * hp * (hm + hp)
-        self.d2 = (2.0 * hp / denom, -2.0 * (hm + hp) / denom, 2.0 * hm / denom)
+        self.d2 = _d2_weights(hm, hp)
         self.d1_xi = FirstDerivative(xi)
         self.d1_r = FirstDerivative(r)
         dxi = np.diff(xi)
@@ -142,15 +153,9 @@ class Stencil:
         for a in (hm, hp, *self.d2, self.w_xi):
             a.setflags(write=False)
 
-    @cached_property
-    def _d2_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """hm + hp and hm hp (hm + hp), built on the first d2_interior call."""
-        hs = self.hm + self.hp
-        return hs, self.hm * self.hp * hs
-
     def d2_interior(self, f: np.ndarray) -> np.ndarray:
         """second_derivative_interior of f on this grid."""
-        return _second_difference(f, self.hm, self.hp, *self._d2_factors)
+        return _apply3(*self.d2, f)
 
 
 class FittedOperator:
@@ -207,20 +212,9 @@ def derivative(values: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def second_derivative_interior(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Three-point second derivative at interior nodes (exact on quadratics).
-
-    Applied in factored form, which rounds differently from the coefficient
-    arrays of Stencil.d2 used for matrix assembly.
-    """
-    hm, hp = _spacings(np.asarray(x, dtype=float))
-    hs = hm + hp
-    return _second_difference(np.asarray(values, dtype=float), hm, hp, hs, hm * hp * hs)
-
-
-def _second_difference(f, hm, hp, hs, denom):
-    """2 (hp f_{i-1} - hs f_i + hm f_{i+1}) / denom, with hs = hm + hp and
-    denom = hm hp hs."""
-    return 2.0 * (hp * f[:-2] - hs * f[1:-1] + hm * f[2:]) / denom
+    """Three-point second derivative at interior nodes (exact on quadratics)."""
+    weights = _d2_weights(*_spacings(np.asarray(x, dtype=float)))
+    return _apply3(*weights, np.asarray(values, dtype=float))
 
 
 def _trapezoid_value(y: np.ndarray, x: np.ndarray) -> float:

@@ -63,14 +63,14 @@ class LongtimeReport:
 
 def stationary_residual(W: MassProfile) -> np.ndarray:
     """Q applied nodewise at interior nodes via the grid's stencil."""
-    return _residual_arrays(W.values, W.grid, W.total_mass)
+    return _NewtonOperator(W.grid, W.total_mass).residual(W.values)[0]
 
 
 class _NewtonOperator:
     """The interior residual map of one grid and mass, with its Jacobian.
 
-    Holds the grid factors once per solve: the D1 and D2 weights, the bands
-    -4 xi D2 and m xi.
+    Holds the grid factors once per solve: the D1 and D2 weights, which the
+    residual and the Jacobian share, the bands -4 xi D2 and m xi.
     """
 
     def __init__(self, grid: Grid, m: float):
@@ -98,21 +98,6 @@ class _NewtonOperator:
         lower = lo2[1:] + drift[1:] * D1.lo[1:]
         upper = hi2[:-1] + drift[:-1] * D1.hi[:-1]
         return lower, diag, upper
-
-
-def _residual_arrays(w, grid: Grid, m):
-    return _NewtonOperator(grid, m).residual(w)[0]
-
-
-def _jacobian_banded(w, grid: Grid, m):
-    """Banded Jacobian of the interior residual map (interior unknowns only)."""
-    op = _NewtonOperator(grid, m)
-    lower, diag, upper = op.jacobian(w, op.residual(w)[1])
-    ab = np.zeros((3, grid.n - 1))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    return ab
 
 
 def solve_stationary_newton(init: MassProfile) -> NewtonResult:

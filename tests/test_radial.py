@@ -214,6 +214,15 @@ class TestGridStencil:
         assert np.array_equal(g.stencil.d1_xi(f), derivative(f, g.nodes))
         assert np.array_equal(g.stencil.d1_r(f), derivative(f, g.radii))
 
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0])
+    def test_second_derivative_matches_d2_weights_bitwise(self, gamma):
+        g = Grid.regular(512, gamma=gamma)
+        f = np.sin(3.0 * g.nodes) + g.nodes ** 2
+        lo, mid, hi = g.stencil.d2
+        weighted = lo * f[:-2] + mid * f[1:-1] + hi * f[2:]
+        assert np.array_equal(g.stencil.d2_interior(f), weighted)
+        assert np.array_equal(second_derivative_interior(f, g.nodes), weighted)
+
     def test_second_derivative_weights_exact_on_quadratics(self):
         g = Grid.regular(40, gamma=1.5)
         y = 3.0 * g.nodes ** 2 - 2.0 * g.nodes + 1.0

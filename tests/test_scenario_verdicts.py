@@ -13,6 +13,16 @@ COLLAPSING_VERIFY_GLOBAL = ["--set", "mass=10pi", "--set", "initial.kind=barrier
                             "--set", "initial.a=0.01", "--set", "grid.gamma=3",
                             "--set", "scheme.t_end=1"]
 
+
+def _set_args(doc):
+    """--set options for the entries of a config document."""
+    return [arg for key, value in doc.items() for arg in ("--set", f"{key}={value}")]
+
+
+# a threshold below the initial density: every run stops after one step
+THRESHOLD_BELOW_INITIAL = {"mass": "4pi", "scheme.u_blowup_threshold": "1",
+                           "scheme.t_end": "1"}
+
 CASES = [
     ("verify-global", ["--set", "mass=8pi", "--set", "grid.n=64",
                        "--set", "initial.kind=pks", "--set", "initial.lambda=0.3",
@@ -28,11 +38,14 @@ CASES = [
     ("uniqueness", ["--set", "mass=8pi", "--set", "grid.n=64"], "pass"),
     ("check", ["--set", "mass=4pi"], "pass"),
     ("check", ["--set", "mass=40pi"], "pass"),  # barrier residuals checked up to 8pi
+    ("blowup", _set_args(THRESHOLD_BELOW_INITIAL), "fail"),
 ]
 
-# test ids are name-verdict; the last case differs from the one before in mass only
+# test ids are name-verdict; the last two cases repeat the name and verdict
+# of an earlier one
 IDS = [f"{name}-{verdict}" for name, _, verdict in CASES]
-IDS[-1] += "-40pi"
+IDS[-2] += "-40pi"
+IDS[-1] += "-threshold-below-initial-density"
 
 
 @pytest.mark.parametrize("name,args,verdict", CASES, ids=IDS)
@@ -54,10 +67,17 @@ def test_verify_global_reports_an_unfittable_snapshot(tmp_path):
     assert lines[-1] == "verify-global=fail"
 
 
+def test_blowup_names_a_threshold_below_the_initial_density(tmp_path):
+    cli.main(["scenario", "blowup", *_set_args(THRESHOLD_BELOW_INITIAL),
+              "--out", str(tmp_path)])
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    assert lines[-2:] == ["initial_below_threshold=False", "blowup=fail"]
+
+
 def _assert_doubled_run_is_fresh(tmp_path, doc):
     """The scenario's n1024_doubled/ holds the bytes a fresh run writes."""
-    args = [arg for key, value in doc.items() for arg in ("--set", f"{key}={value}")]
-    assert cli.main(["scenario", "blowup", *args, "--out", str(tmp_path / "s")]) in (0, 2)
+    assert cli.main(["scenario", "blowup", *_set_args(doc),
+                     "--out", str(tmp_path / "s")]) in (0, 2)
     cfg = parse_config(doc)
     threshold = cfg.scheme_params["u_blowup_threshold"] or 2e5 * cfg.mass / np.pi
     doubled = cfg.replace(**{"grid.gamma": 3, "grid.n": 1024,
@@ -75,8 +95,7 @@ README_BLOWUP = {"mass": "10pi", "initial.kind": "barrier", "initial.a": "0.01"}
 
 @pytest.mark.parametrize("doc", [
     README_BLOWUP,
-    # a threshold below the initial density: every run stops after one step
-    {"mass": "4pi", "scheme.u_blowup_threshold": "1", "scheme.t_end": "1"},
+    THRESHOLD_BELOW_INITIAL,
 ], ids=["readme", "threshold-below-initial-density"])
 def test_blowup_doubled_run_writes_what_a_fresh_run_writes(tmp_path, doc):
     # the scenario continues its n=1024 run; a fresh run must write the same bytes

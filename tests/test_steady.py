@@ -163,15 +163,15 @@ def test_jacobian_matches_finite_differences():
     grid = Grid.regular(48, gamma=2.0)
     m = M8
     w = preset_profile("pks", m, grid, lam=0.5).values.copy()
-    ab = steady._jacobian_banded(w, grid, m)
+    op = steady._NewtonOperator(grid, m)
+    lower, diag, upper = op.jacobian(w, op.residual(w)[1])
     n_in = grid.n - 1
-    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    dense = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
     fd = np.empty((n_in, n_in))
     for j in range(n_in):
         h = 1e-6 * max(1.0, abs(w[j + 1]))
         plus, minus = w.copy(), w.copy()
         plus[j + 1] += h
         minus[j + 1] -= h
-        fd[:, j] = (steady._residual_arrays(plus, grid, m)
-                    - steady._residual_arrays(minus, grid, m)) / (2.0 * h)
+        fd[:, j] = (op.residual(plus)[0] - op.residual(minus)[0]) / (2.0 * h)
     assert np.abs(dense - fd).max() <= 1e-6 * np.abs(dense).max()
