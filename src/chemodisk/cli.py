@@ -6,7 +6,8 @@ check.  ``steady --mass M`` runs the uniqueness probes of the uniqueness
 scenario at the given masses instead of pi, 2pi, 4pi and 8pi; without
 ``--mass`` it runs them at the config's mass, 8pi unless set.
 Exit codes: 0 all assertions pass, 1 usage error (a bad option or config
-value, refused before any run starts), 2 scientific verdict mismatch (for
+value, refused before any run starts, or a malformed trace.csv given to
+energy-audit), 2 scientific verdict mismatch (for
 ``simulate``: the run stopped at the step floor).  The last line of every
 scenario's summary.txt is its verdict, ``<scenario>=pass|fail``, and the
 exit code follows it: 0 for pass, 2 for fail.
@@ -467,9 +468,8 @@ def cmd_energy_audit(args) -> int:
     dfdt = np.gradient(F, t, edge_order=1)
     integral = radial.cumulative_trapezoid(D, t)
     residual = np.abs((F[0] - F) - integral)
-    rows = list(zip(t, F, D, dfdt, residual))
     out = Path(args.out) if args.out else trace_dir / "energy_audit.csv"
-    csvio.write_rows(out, ["t", "F", "D", "dFdt_est", "budget_residual"], rows)
+    csvio.write_energy_audit(out, (t, F, D, dfdt, residual))
     return 0
 
 
@@ -510,7 +510,7 @@ def main(argv=None) -> int:
             run_sweep(cfg, key.strip(), values, out_dir)
             return 0
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, ConfigError, FileNotFoundError) as exc:
+    except (UsageError, ConfigError, FileNotFoundError, csvio.TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,22 @@ from chemodisk.config import (ConfigError, ExperimentConfig, parse_config,
 from chemodisk.radial import EIGHT_PI, Grid, preset_profile
 
 
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """The output directory of a short simulate run: 13 trace rows."""
+    out = tmp_path_factory.mktemp("run")
+    assert cli.main(["simulate", "--set", "mass=4pi", "--set", "grid.n=64",
+                     "--set", "scheme.t_end=0.2", "--out", str(out)]) == 0
+    return out
+
+
+def _edit_line(text, idx, edit):
+    """`text` with its CRLF-ended line `idx` (0-based) replaced by edit(line)."""
+    lines = text.split("\r\n")
+    lines[idx] = edit(lines[idx])
+    return "\r\n".join(lines)
+
+
 class TestParseNumber:
     def test_plain_float(self):
         assert parse_number("2.5") == 2.5
@@ -134,6 +150,29 @@ class TestCsvIo:
         with pytest.raises(ValueError):
             csvio.read_trace(path)
 
+    @pytest.mark.parametrize("edit, line", [
+        (lambda text: text[:len(text) - 70], -1),
+        (lambda text: text[:-5], -1),
+        (lambda text: _edit_line(text, 3, lambda row: row + ",1"), 4),
+        (lambda text: _edit_line(text, 2, lambda row: "x" + row), 3),
+        (lambda text: _edit_line(text, 2, lambda row: row[row.index(","):]), 3),
+    ], ids=["cut-mid-row", "cut-in-last-cell", "eight-cells", "non-numeric",
+            "empty-cell"])
+    def test_read_trace_names_the_bad_row(self, small_run, tmp_path, edit, line):
+        path = tmp_path / "trace.csv"
+        text = edit((small_run / "trace.csv").read_bytes().decode())
+        path.write_bytes(text.encode())
+        line = text.count("\n") + 1 if line == -1 else line  # the last line
+        with pytest.raises(csvio.TraceFormatError, match=f"{path}:{line}:"):
+            csvio.read_trace(path)
+
+    @pytest.mark.parametrize("text", ["", "a,b\r\n1,2\r\n"], ids=["empty", "foreign"])
+    def test_read_trace_rejects_a_file_without_its_header(self, tmp_path, text):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(csvio.TraceFormatError, match=f"{path}:1:"):
+            csvio.read_trace(path)
+
     def test_summary_format(self, tmp_path):
         path = tmp_path / "summary.txt"
         csvio.write_summary(path, {"verdict": "completed", "t_final": 1.0})
@@ -243,6 +282,19 @@ class TestCli:
                          "--out", str(tmp_path)])
         assert code == 2
         assert "verdict=step_floor_reached" in (tmp_path / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("cut", [True, False], ids=["cut-mid-row", "foreign-header"])
+    def test_energy_audit_refuses_a_malformed_trace(self, small_run, tmp_path,
+                                                    capsys, cut):
+        # cut after the last row's first cell: 13 values of t, 12 of the rest
+        text = (small_run / "trace.csv").read_bytes()
+        last = text.rindex(b"\r\n", 0, -2) + 2
+        (tmp_path / "trace.csv").write_bytes(
+            text[:text.index(b",", last)] if cut else b"a,b\r\n1,2\r\n")
+        assert cli.main(["energy-audit", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'trace.csv'}:")
+        assert not (tmp_path / "energy_audit.csv").exists()
 
     def test_energy_audit_command(self, tmp_path):
         run_dir = tmp_path / "run"
