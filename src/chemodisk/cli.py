@@ -52,8 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 def run_simulation(cfg: ExperimentConfig, out_dir) -> tuple:
     """Run one simulation, write trace/snapshot CSVs, return (trace, summary)."""
-    grid = cfg.grid()
-    trace = solver.simulate(cfg.scheme(grid), cfg.initial_profile(grid))
+    trace = solver.simulate(cfg.scheme, cfg.initial_profile())
     return trace, write_run(trace, out_dir)
 
 
@@ -263,7 +262,7 @@ def scenario_check(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
     # discrete comparison on one ordered pair
     low = barriers.SubBarrier(1.0, m).profile(grid)
     up = radial.preset_profile("barrier", m, grid, a=0.5)
-    rep = solver.verify_discrete_comparison(low, up, 0.25, cfg.scheme(grid))
+    rep = solver.verify_discrete_comparison(low, up, 0.25, cfg.scheme)
     checks["discrete_comparison"] = rep.max_violation <= 1e-10 * m
 
     # stationary fixed point
@@ -288,10 +287,10 @@ def scenario_blowup(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
 
     Runs the configured concentrated profile at N=512 and N=1024 with a
     grid graded hard toward the origin, checks that both detect blowup at
-    the innermost interior node, that detection time is insensitive to
-    doubling the threshold (fine grid), and that the attained peak grows
-    under refinement.  The doubled-threshold run continues the fine run
-    from where it stopped (solver.resume) instead of repeating its steps.
+    the innermost interior node of their grid, that detection time is
+    insensitive to doubling the threshold (fine grid), and that the peak
+    grows under refinement.  The doubled-threshold run continues the fine
+    run where it stopped (solver.resume) instead of repeating its steps.
     A run that starts above the threshold stops after one step, so it fails
     the scenario with initial_below_threshold=False in the summary.
     """
@@ -300,17 +299,16 @@ def scenario_blowup(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
     # the default density threshold exceeds what the monotone scheme can
     # represent at N=512 on this grading; use a level that both grids
     # cross while the collapse is still explosive
-    threshold = cfg.scheme_params["u_blowup_threshold"]
+    threshold = cfg.scheme.u_blowup_threshold
     if threshold is None:
         threshold = 2e5 * m / np.pi
     base = cfg.replace(**{"grid.gamma": 3, "scheme.u_blowup_threshold": threshold})
     coarse = base.replace(**{"grid.n": 512})
     fine = base.replace(**{"grid.n": 1024})
-    doubled = fine.replace(**{"scheme.u_blowup_threshold": 2.0 * threshold})
 
     trace_c, _ = run_simulation(coarse, out / "n512")
     trace_f, _ = run_simulation(fine, out / "n1024")
-    trace_d = solver.resume(doubled.scheme(), trace_f)
+    trace_d = solver.resume(trace_f, 2.0 * threshold)
     write_run(trace_d, out / "n1024_doubled")
     traces = [trace_c, trace_f, trace_d]
     below = max(trace_c.sup_u[0], trace_f.sup_u[0]) <= threshold
@@ -329,8 +327,8 @@ def scenario_blowup(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
         summary["initial_below_threshold"] = False
     ok = below and all(trace.verdict == VERDICT_BLOWUP for trace in traces)
     if ok:
-        summary["peak_innermost"] = (trace_c.blowup_xi == coarse.grid().nodes[1]
-                                     and trace_f.blowup_xi == fine.grid().nodes[1])
+        summary["peak_innermost"] = all(trace.blowup_xi == trace.snapshots[0][1].xi[1]
+                                        for trace in (trace_c, trace_f))
         shift = abs(trace_d.blowup_time - trace_f.blowup_time) / trace_f.blowup_time
         summary["threshold_doubling_shift"] = shift
         summary["threshold_doubling_ok"] = shift < 0.10
@@ -463,8 +461,12 @@ def build_parser() -> _Parser:
 
 def cmd_energy_audit(args) -> int:
     trace_dir = Path(args.trace_dir)
-    data = csvio.read_trace(trace_dir / "trace.csv")
+    path = trace_dir / "trace.csv"
+    data = csvio.read_trace(path)
     t, F, D = data["t"], data["energy"], data["dissipation"]
+    if t.size < 2:  # a run that accepted no step
+        raise csvio.TraceFormatError(f"{path}: dF/dt needs at least two rows, "
+                                     f"got {t.size}")
     dfdt = np.gradient(F, t, edge_order=1)
     integral = radial.cumulative_trapezoid(D, t)
     residual = np.abs((F[0] - F) - integral)

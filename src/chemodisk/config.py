@@ -38,9 +38,6 @@ def _parse_integer(token) -> int:
     return int(token)
 
 
-# the scheme.* keys are the fields of SchemeConfig, with its defaults
-_SCHEME_FIELDS = [f for f in fields(SchemeConfig) if f.name != "grid"]
-
 # the initial.* parameter keys and the preset_profile parameters they set
 _PRESET_PARAMS = {"initial.lambda": "lam", "initial.a": "a"}
 # the initial.* key of each preset_profile argument
@@ -49,7 +46,8 @@ _PRESET_KEYS = {"kind": "initial.kind", **{v: k for k, v in _PRESET_PARAMS.items
 _DEFAULTS = {
     "grid.n": 512,
     "grid.gamma": 1.0,
-    **{f"scheme.{f.name}": f.default for f in _SCHEME_FIELDS},
+    # every SchemeConfig field is a scheme.* key, with its default
+    **{f"scheme.{f.name}": f.default for f in fields(SchemeConfig)},
     "initial.kind": "constant",
     **dict.fromkeys(_PRESET_PARAMS),
     "output.dir": "out",
@@ -61,12 +59,13 @@ _KNOWN_KEYS = set(_DEFAULTS) | {"mass"}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated run configuration; build it with parse_config."""
+    """A validated run configuration; build it with parse_config.  scheme
+    holds the scheme.* keys; a run steps on grid()."""
 
     mass: float
     n: int
     gamma: float
-    scheme_params: dict  # SchemeConfig fields other than grid
+    scheme: SchemeConfig
     initial_kind: str
     initial_params: dict
     output_dir: str
@@ -75,9 +74,6 @@ class ExperimentConfig:
 
     def grid(self) -> Grid:
         return Grid.regular(self.n, self.gamma)
-
-    def scheme(self, grid: Grid | None = None) -> SchemeConfig:
-        return SchemeConfig(grid=grid or self.grid(), **self.scheme_params)
 
     def initial_profile(self, grid: Grid | None = None) -> MassProfile:
         return preset_profile(self.initial_kind, self.mass, grid or self.grid(),
@@ -144,22 +140,21 @@ def parse_config(document) -> ExperimentConfig:
         raise ConfigError("grid.gamma must lie in [1, 3]")
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
-    scheme_params = {f.name: number(f"scheme.{f.name}") for f in _SCHEME_FIELDS}
+    scheme_params = {f.name: number(f"scheme.{f.name}") for f in fields(SchemeConfig)}
     kind = str(merged["initial.kind"]).strip()
     params = {name: number(key) for key, name in _PRESET_PARAMS.items()
               if merged[key] is not None}
     section = "scheme"
     try:
-        grid = Grid.regular(n, gamma)
-        SchemeConfig(grid=grid, **scheme_params)
+        scheme = SchemeConfig(**scheme_params)
         section = "initial"
-        preset_profile(kind, mass, grid, **params)
+        preset_profile(kind, mass, Grid.regular(n, gamma), **params)
     except ValueError as exc:
         # name the initial.* key of the preset parameter at fault, if one is
         key = _PRESET_KEYS.get(getattr(exc, "param", None), section)
         raise ConfigError(f"{key}: {exc}") from exc
 
-    return ExperimentConfig(mass=mass, n=n, gamma=gamma, scheme_params=scheme_params,
+    return ExperimentConfig(mass=mass, n=n, gamma=gamma, scheme=scheme,
                             initial_kind=kind, initial_params=params,
                             output_dir=str(merged["output.dir"]), seed=seed,
                             document=dict(document))

@@ -223,8 +223,9 @@ def write_energy_audit(path, columns) -> None:
 def read_trace(path) -> dict[str, np.ndarray]:
     """The columns of a trace CSV by name.  Raises TraceFormatError, naming
     the file and line, for a header other than TRACE_HEADER, a row whose
-    cell count differs from it, a cell that is not a float, or a last row
-    without its line end (a file cut short, perhaps inside a number)."""
+    cell count differs from it, a cell that is not a float, a last row
+    without its line end (a file cut short, perhaps inside a number), or no
+    row at all (write_trace writes at least the initial one)."""
     with open(path, newline="") as fh:
         text = fh.read()
     lines = text.splitlines()
@@ -245,6 +246,8 @@ def read_trace(path) -> dict[str, np.ndarray]:
         except ValueError:
             raise TraceFormatError(f"{path}:{reader.line_num}: not a float: "
                                    f"{cell!r}") from None
+    if not cols[0]:
+        raise TraceFormatError(f"{path}: no data rows under the header")
     return {name: np.asarray(col) for name, col in zip(header, cols)}
 
 

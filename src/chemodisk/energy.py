@@ -23,7 +23,6 @@ _LOG_FLOOR = 1e-14
 class EnergyReport:
     value: float
     dissipation: float
-    quad_error: float
     clamp_count: int
 
 
@@ -34,24 +33,22 @@ class DecayAudit:
     energy_drop: float
 
 
-def _disk_integral(f, r) -> tuple[float, float]:
+def _disk_integral(f, r) -> float:
     """2*pi * int f(r) r dr, evaluated as pi * int f dxi on the xi-grid.
 
     Radial regularity (f'(0) = 0) makes the xi-form integrand smooth, and
     it keeps every quadrature in the package on the same composite
-    trapezoid rule.
+    trapezoid rule, which needs at least 3 nodes.
     """
-    val, est = trapezoid(np.pi * np.asarray(f, dtype=float), r ** 2)
-    return val, est
+    return trapezoid(np.pi * np.asarray(f, dtype=float), r ** 2)[0]
 
 
 def _mass_of(u: RadialField) -> float:
-    val, _ = _disk_integral(u.values, u.radii)
-    return val
+    return _disk_integral(u.values, u.radii)
 
 
 def _free_energy_dissipation(u, v, floor, st: Stencil):
-    """(F, D, F integrand) for nodal density u and potential v.
+    """(F, D) for nodal density u and potential v.
 
     F = pi int (u ln u - u v / 2) dxi and D = pi int u ((ln u - v)_r)^2 dxi,
     both with the trapezoid weights of the stencil and u floored inside the
@@ -64,7 +61,7 @@ def _free_energy_dissipation(u, v, floor, st: Stencil):
     F = np.pi * (st.w_xi @ f)
     gp = st.d1_r(lnu - v)
     D = max(np.pi * (st.w_xi @ (u * gp * gp)), 0.0)
-    return float(F), float(D), f
+    return float(F), float(D)
 
 
 def free_energy(u: RadialField, v: RadialField) -> float:
@@ -80,9 +77,8 @@ def energy_report(u: RadialField, v: RadialField) -> EnergyReport:
     floor = _LOG_FLOOR * m / np.pi
     clamped = int(np.count_nonzero(u.values < floor))
     st = Stencil(u.radii ** 2, u.radii)
-    F, D, integrand = _free_energy_dissipation(u.values, v.values, floor, st)
-    _, est = _disk_integral(integrand, u.radii)
-    return EnergyReport(F, D, est, clamped)
+    F, D = _free_energy_dissipation(u.values, v.values, floor, st)
+    return EnergyReport(F, D, clamped)
 
 
 def dissipation(u: RadialField, v: RadialField) -> float:
@@ -143,6 +139,6 @@ def random_radial_profiles(count: int, grid: Grid, seed: int):
         if u.min() <= 1e-3:
             continue
         lam = rng.uniform(0.4, EIGHT_PI)
-        raw_mass, _ = _disk_integral(u, r)
+        raw_mass = _disk_integral(u, r)
         out.append(RadialField(r, u * (lam / raw_mass)))
     return out

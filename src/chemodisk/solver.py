@@ -56,9 +56,9 @@ _MONO_CLIP_TOL = 1e-12
 @dataclass(frozen=True)
 class SchemeConfig:
     """Time-stepping parameters: the one definition of the scheme.* config
-    keys, their defaults and their validity."""
+    keys, their defaults and their validity.  A run steps on the grid of
+    the profile it is given, so the scheme has none of its own."""
 
-    grid: Grid
     dt0: float = 1e-3
     cfl: float = 0.9
     t_end: float = 10.0
@@ -165,6 +165,7 @@ class _Workspace:
     """
 
     def __init__(self, grid: Grid, m: float):
+        self.grid = grid
         self.m = float(m)
         self.xi = grid.nodes
         self.r = grid.radii
@@ -243,7 +244,7 @@ class _Workspace:
         s = (M - self._mxi) * self._vr_scale  # v_r = -(M - m xi) / (2 pi r)
         v = cumulative_trapezoid(s, self.r)
         v -= w_xi @ v
-        F, D, _ = _free_energy_dissipation(u, v, self._log_floor, self.st)
+        F, D = _free_energy_dissipation(u, v, self._log_floor, self.st)
         sup_u = float(u.max())
         sup_mxi = float(np.max(M[1:] / self.xi[1:]))
         secmom = m - float(w_xi @ M)
@@ -279,43 +280,42 @@ def cfl_limit(M: MassProfile) -> float:
 
 
 def simulate(config: SchemeConfig, M0: MassProfile) -> SimulationTrace:
-    """Adaptive integration of the mass equation up to t_end or termination.
+    """Adaptive integration on the grid of M0 up to t_end or termination.
 
     dt grows geometrically toward cfl * cfl_limit; nonfinite output or
     a diagnostic spike halves dt and retries.  All failure modes become
     verdicts; identical inputs produce a bit-identical trace.
     """
     m = M0.total_mass
-    ws = _Workspace(config.grid, m)
+    ws = _Workspace(M0.grid, m)
     M = M0.values.copy()
     trace = SimulationTrace(total_mass=m)
     trace.record(0.0, 0.0, ws.diagnostics(M))
-    trace.snapshots.append((0.0, MassProfile(config.grid, M.copy(), m)))
+    trace.snapshots.append((0.0, MassProfile(M0.grid, M.copy(), m)))
     dt = min(config.dt0, config.cfl * ws.lag(M))
     return _integrate(ws, trace, M, _LoopState(config, dt, config.snapshot_every))
 
 
-def resume(config: SchemeConfig, trace: SimulationTrace) -> SimulationTrace:
+def resume(trace: SimulationTrace, threshold: float) -> SimulationTrace:
     """Continue a stopped run under a higher blowup threshold.
 
-    config may differ from the scheme the trace was run with in
-    u_blowup_threshold only, and its threshold must not be below the old
-    one; anything else raises ValueError.  The stepping loop of simulate
-    re-enters in the state it stopped in, so the stop condition that fired
-    is evaluated again under the new threshold: a completed run returns at
-    once, a run stopped at the step floor gets its floor verdict again, and
-    a run stopped by the threshold stops at the same step if its last sup u
-    is still above the new one, else keeps stepping (its stop snapshot is
-    dropped unless it was also a landing snapshot).  The threshold decides
-    where a run stops, never which steps it takes, so the result equals a
-    fresh simulate under config bit for bit.  The trace passed in, its
-    lists and its snapshot arrays are not changed.
+    The run keeps its grid and its scheme, with u_blowup_threshold set to
+    threshold; a threshold below the run's own raises ValueError.  The
+    stepping loop of simulate re-enters in the state it stopped in, so the
+    stop condition that fired is evaluated again under the new threshold: a
+    completed run returns at once, a run stopped at the step floor gets its
+    floor verdict again, and a run stopped by the threshold stops at the
+    same step if its last sup u is still above the new one, else keeps
+    stepping (its stop snapshot is dropped unless it was also a landing
+    snapshot).  The threshold decides where a run stops, never which steps
+    it takes, so the result equals a fresh simulate under the new scheme bit
+    for bit.  The trace passed in, its lists and its snapshot arrays are not
+    changed.
     """
     stop = trace._stop
     if stop is None:
         raise ValueError("only a trace returned by simulate or resume can be resumed")
-    if replace(config, u_blowup_threshold=stop.config.u_blowup_threshold) != stop.config:
-        raise ValueError("resume may change scheme.u_blowup_threshold only")
+    config = replace(stop.config, u_blowup_threshold=threshold)
     m = trace.total_mass
     if config.threshold(m) < stop.config.threshold(m):
         raise ValueError("resume needs a threshold at or above the run's own")
@@ -325,8 +325,9 @@ def resume(config: SchemeConfig, trace: SimulationTrace) -> SimulationTrace:
         copies["snapshots"].pop()
     out = replace(trace, **copies, verdict=None, blowup_time=None,
                   blowup_xi=None, _stop=None)
-    M = trace.snapshots[-1][1].values
-    return _integrate(_Workspace(config.grid, m), out, M, replace(stop, config=config))
+    last = trace.snapshots[-1][1]  # the profile the run stopped at
+    ws = _Workspace(last.grid, m)
+    return _integrate(ws, out, last.values, replace(stop, config=config))
 
 
 def _integrate(ws: _Workspace, trace: SimulationTrace, M,
@@ -339,7 +340,7 @@ def _integrate(ws: _Workspace, trace: SimulationTrace, M,
     """
     config, dt, next_snap = state.config, state.dt, state.next_snap
     pending, peak_xi = state.pending, state.peak_xi
-    m = trace.total_mass
+    m, grid = trace.total_mass, ws.grid
     threshold = config.threshold(m)
     # a tenfold jump of sup u is a spike only above this floor; it does not
     # depend on the threshold, so a run's steps do not either (resume)
@@ -352,10 +353,10 @@ def _integrate(ws: _Workspace, trace: SimulationTrace, M,
                 trace.set_verdict(VERDICT_BLOWUP)
                 trace.blowup_time = t
                 trace.blowup_xi = peak_xi
-                trace.snapshots.append((t, MassProfile(config.grid, M.copy(), m)))
+                trace.snapshots.append((t, MassProfile(grid, M.copy(), m)))
                 break
             if t >= next_snap - 1e-12:
-                trace.snapshots.append((t, MassProfile(config.grid, M.copy(), m)))
+                trace.snapshots.append((t, MassProfile(grid, M.copy(), m)))
                 while next_snap <= t + 1e-12:
                     next_snap += config.snapshot_every
                 # a sum of snapshot_every within the landing tolerance of
@@ -394,7 +395,7 @@ def _integrate(ws: _Workspace, trace: SimulationTrace, M,
             trace.record(t, dt_eff, diag)
             peak_xi = diag[5]
     if trace.snapshots[-1][0] < t - 1e-12:
-        trace.snapshots.append((t, MassProfile(config.grid, M.copy(), m)))
+        trace.snapshots.append((t, MassProfile(grid, M.copy(), m)))
     trace._stop = _LoopState(config, dt, next_snap, pending, peak_xi)
     return trace
 

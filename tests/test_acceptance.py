@@ -81,7 +81,7 @@ def test_discrete_comparison_random_pairs():
         vals_b = Mb.values * (m / Mb.total_mass)
         lo = MassProfile(grid, np.minimum(Ma.values, vals_b), m)
         up = MassProfile(grid, np.maximum(Ma.values, vals_b), m)
-        cfg = solver.SchemeConfig(grid=grid, t_end=1.0, snapshot_every=1.0)
+        cfg = solver.SchemeConfig(t_end=1.0, snapshot_every=1.0)
         rep = solver.verify_discrete_comparison(lo, up, 1.0, cfg)
         assert rep.max_violation <= 1e-10 * m
         worst = max(worst, rep.max_violation)
@@ -172,7 +172,7 @@ def test_spatial_convergence_order(critical_run):
     def final_density(n):
         child = cfg.replace(**{"grid.n": n, "scheme.t_end": 1.0})
         grid = child.grid()
-        trace = solver.simulate(child.scheme(grid), child.initial_profile(grid))
+        trace = solver.simulate(child.scheme, child.initial_profile(grid))
         t, prof = trace.snapshots[-1]
         assert t == pytest.approx(1.0, abs=1e-12)
         return radial.density_from_mass(prof).values

@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from chemodisk import cli, csvio, solver
+from chemodisk import cli, config, csvio, solver
 from chemodisk.config import (ConfigError, ExperimentConfig, parse_config,
                               parse_number)
 from chemodisk.radial import EIGHT_PI, Grid, preset_profile
@@ -85,6 +87,12 @@ class TestParseConfig:
             parse_config({"mass": 1.0, "initial.kind": "constant",
                           "initial.lambda": 0.5})
 
+    def test_scheme_fields_are_the_scheme_keys(self):
+        # every SchemeConfig field is configurable, and nothing else is
+        keys = [k.removeprefix("scheme.") for k in config._DEFAULTS
+                if k.startswith("scheme.")]
+        assert [f.name for f in fields(solver.SchemeConfig)] == keys
+
     def test_replace_round_trip(self):
         cfg = parse_config({"mass": "4pi", "initial.kind": "pks",
                             "initial.lambda": 0.3})
@@ -98,7 +106,7 @@ class TestParseConfig:
         grid = cfg.grid()
         assert isinstance(grid, Grid)
         assert grid.n == 64
-        assert isinstance(cfg.scheme(grid), solver.SchemeConfig)
+        assert isinstance(cfg.scheme, solver.SchemeConfig)
         M0 = cfg.initial_profile(grid)
         assert M0.total_mass == pytest.approx(4.0 * np.pi)
 
@@ -137,7 +145,7 @@ class TestCsvIo:
         header = (tmp_path / "snap.csv").read_text().splitlines()[0]
         assert header.split(",") == csvio.SNAPSHOT_HEADER
 
-        cfg = solver.SchemeConfig(grid=grid, t_end=0.5, snapshot_every=0.25)
+        cfg = solver.SchemeConfig(t_end=0.5, snapshot_every=0.25)
         trace = solver.simulate(cfg, M)
         csvio.write_trace(tmp_path / "trace.csv", trace)
         data = csvio.read_trace(tmp_path / "trace.csv")
@@ -171,6 +179,13 @@ class TestCsvIo:
         path = tmp_path / "trace.csv"
         path.write_text(text)
         with pytest.raises(csvio.TraceFormatError, match=f"{path}:1:"):
+            csvio.read_trace(path)
+
+    def test_read_trace_rejects_a_header_without_rows(self, small_run, tmp_path):
+        path = tmp_path / "trace.csv"
+        text = (small_run / "trace.csv").read_bytes()
+        path.write_bytes(text[:text.index(b"\r\n") + 2])
+        with pytest.raises(csvio.TraceFormatError, match="no data rows"):
             csvio.read_trace(path)
 
     def test_summary_format(self, tmp_path):
@@ -294,6 +309,23 @@ class TestCli:
         assert cli.main(["energy-audit", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / 'trace.csv'}:")
+        assert not (tmp_path / "energy_audit.csv").exists()
+
+    def test_energy_audit_refuses_a_run_that_accepted_no_step(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # every trial is non-finite, so dt falls under dt_min before a step
+        # is accepted and trace.csv holds the initial row only
+        def fail(self, dt):
+            return np.full_like(self._M, np.nan)
+
+        monkeypatch.setattr(solver._Workspace, "advance", fail)
+        assert cli.main(["simulate", "--set", "mass=4pi", "--set", "grid.n=32",
+                         "--out", str(tmp_path)]) == 2
+        assert len(csvio.read_trace(tmp_path / "trace.csv")["t"]) == 1
+        assert cli.main(["energy-audit", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'trace.csv'}:")
+        assert "at least two rows" in err
         assert not (tmp_path / "energy_audit.csv").exists()
 
     def test_energy_audit_command(self, tmp_path):

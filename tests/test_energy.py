@@ -70,7 +70,7 @@ class TestDissipation:
 class TestDecayAudit:
     def test_on_simulated_trace(self):
         grid = Grid.regular(256)
-        cfg = solver.SchemeConfig(grid=grid, t_end=2.0, snapshot_every=1.0)
+        cfg = solver.SchemeConfig(t_end=2.0, snapshot_every=1.0)
         M0 = preset_profile("pks", 4.0 * np.pi, grid, lam=0.5)
         trace = solver.simulate(cfg, M0)
         audit = audit_decay(trace)
@@ -131,7 +131,7 @@ class TestRandomProfiles:
 def test_energy_report_matches_solver_trace():
     # the solver's per-step F and D and energy_report share one routine
     grid = Grid.regular(256, gamma=2.0)
-    cfg = solver.SchemeConfig(grid=grid, t_end=0.5, snapshot_every=0.25)
+    cfg = solver.SchemeConfig(t_end=0.5, snapshot_every=0.25)
     trace = solver.simulate(cfg, preset_profile("pks", M8, grid, lam=0.2))
     t, prof = trace.snapshots[1]
     k = trace.times.index(t)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from chemodisk import cli, config
-from chemodisk.radial import EIGHT_PI, Grid
+from chemodisk.radial import EIGHT_PI
 from chemodisk.solver import SchemeConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -53,7 +53,7 @@ def test_readme_config_defaults_match_the_parser():
     # the threshold's default depends on m; the README gives it as c·m/π
     coefficient = float(rows.pop("scheme.u_blowup_threshold").split("·")[0])
     assert config._DEFAULTS["scheme.u_blowup_threshold"] is None
-    scheme = SchemeConfig(grid=Grid.regular(16))
+    scheme = SchemeConfig()
     for m in (np.pi, EIGHT_PI, 10.0):
         assert scheme.threshold(m) == coefficient * m / np.pi
     for key, cell in rows.items():

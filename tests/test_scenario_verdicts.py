@@ -79,7 +79,7 @@ def _assert_doubled_run_is_fresh(tmp_path, doc):
     assert cli.main(["scenario", "blowup", *_set_args(doc),
                      "--out", str(tmp_path / "s")]) in (0, 2)
     cfg = parse_config(doc)
-    threshold = cfg.scheme_params["u_blowup_threshold"] or 2e5 * cfg.mass / np.pi
+    threshold = cfg.scheme.u_blowup_threshold or 2e5 * cfg.mass / np.pi
     doubled = cfg.replace(**{"grid.gamma": 3, "grid.n": 1024,
                              "scheme.u_blowup_threshold": 2.0 * threshold})
     cli.run_simulation(doubled, tmp_path / "fresh")

@@ -14,30 +14,30 @@ from chemodisk.solver import (SchemeConfig, VERDICT_BLOWUP, VERDICT_COMPLETED,
 M8 = EIGHT_PI
 
 
-def _config(grid, **kw):
-    defaults = dict(grid=grid, t_end=1.0, snapshot_every=0.5)
+def _config(**kw):
+    defaults = dict(t_end=1.0, snapshot_every=0.5)
     defaults.update(kw)
     return SchemeConfig(**defaults)
 
 
 class TestSchemeConfig:
     def test_default_threshold(self):
-        cfg = _config(Grid.regular(64))
+        cfg = _config()
         assert cfg.threshold(np.pi) == pytest.approx(1e6)
 
     def test_explicit_threshold(self):
-        cfg = _config(Grid.regular(64), u_blowup_threshold=42.0)
+        cfg = _config(u_blowup_threshold=42.0)
         assert cfg.threshold(np.pi) == 42.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            _config(Grid.regular(64), cfl=0.0)
+            _config(cfl=0.0)
         with pytest.raises(ValueError):
-            _config(Grid.regular(64), dt0=1e-15)
+            _config(dt0=1e-15)
         with pytest.raises(ValueError):
-            _config(Grid.regular(64), t_end=-1.0)
+            _config(t_end=-1.0)
         with pytest.raises(ValueError):
-            _config(Grid.regular(64), u_blowup_threshold=-1.0)
+            _config(u_blowup_threshold=-1.0)
 
 
 class TestStep:
@@ -90,7 +90,7 @@ class TestCfl:
 class TestSimulate:
     def test_subcritical_completes(self):
         grid = Grid.regular(128)
-        cfg = _config(grid, t_end=2.0, snapshot_every=1.0)
+        cfg = _config(t_end=2.0, snapshot_every=1.0)
         M0 = preset_profile("pks", 4.0 * np.pi, grid, lam=0.5)
         trace = simulate(cfg, M0)
         assert trace.verdict == VERDICT_COMPLETED
@@ -100,7 +100,7 @@ class TestSimulate:
 
     def test_snapshot_times_exact(self):
         grid = Grid.regular(128)
-        cfg = _config(grid, t_end=1.0, snapshot_every=0.25)
+        cfg = _config(t_end=1.0, snapshot_every=0.25)
         M0 = preset_profile("pks", 4.0 * np.pi, grid, lam=0.5)
         trace = simulate(cfg, M0)
         times = [t for t, _ in trace.snapshots]
@@ -111,7 +111,7 @@ class TestSimulate:
         # is t_end, so no sub-ulp step follows it and the final profile is kept
         grid = Grid.regular(256)
         M0 = preset_profile("pks", M8, grid, lam=0.5)
-        trace = simulate(_config(grid, t_end=1.0, snapshot_every=0.1), M0)
+        trace = simulate(_config(t_end=1.0, snapshot_every=0.1), M0)
         assert trace.verdict == VERDICT_COMPLETED
         assert min(trace.dts[1:]) >= 1e-12
         assert trace.snapshots[-1][0] == trace.times[-1] == 1.0
@@ -119,7 +119,7 @@ class TestSimulate:
 
     def test_blowup_detected_supercritical(self):
         grid = Grid.regular(256, gamma=3.0)
-        cfg = _config(grid, t_end=10.0, snapshot_every=1.0,
+        cfg = _config(t_end=10.0, snapshot_every=1.0,
                       u_blowup_threshold=1e5)
         M0 = preset_profile("barrier", 10.0 * np.pi, grid, a=0.01)
         trace = simulate(cfg, M0)
@@ -129,7 +129,7 @@ class TestSimulate:
 
     def test_mass_conserved(self):
         grid = Grid.regular(128)
-        cfg = _config(grid)
+        cfg = _config()
         M0 = preset_profile("pks", 4.0 * np.pi, grid, lam=0.7)
         trace = simulate(cfg, M0)
         for _, prof in trace.snapshots:
@@ -138,8 +138,8 @@ class TestSimulate:
     def test_deterministic(self):
         grid = Grid.regular(128)
         M0 = preset_profile("pks", 4.0 * np.pi, grid, lam=0.5)
-        a = simulate(_config(grid), M0)
-        b = simulate(_config(grid), M0)
+        a = simulate(_config(), M0)
+        b = simulate(_config(), M0)
         assert a.times == b.times
         assert a.sup_u == b.sup_u
         assert a.energy == b.energy
@@ -172,7 +172,7 @@ def test_spike_rejections_are_counted(monkeypatch):
     monkeypatch.setattr(solver._Workspace, "advance", first_advance_nonfinite)
     monkeypatch.setattr(solver._Workspace, "diagnostics", second_diagnostics_spike)
     grid = Grid.regular(64)
-    trace = simulate(_config(grid, t_end=0.1),
+    trace = simulate(_config(t_end=0.1),
                      preset_profile("pks", 4.0 * np.pi, grid, lam=0.5))
     assert trace.verdict == VERDICT_COMPLETED
     assert calls["advance"] == len(trace.times) + 1  # two rejected trials
@@ -216,7 +216,7 @@ def _replay(M0, trace):
 def test_replaying_the_accepted_steps_reproduces_the_run(grid, kind, m, param, kw):
     # the invariant verify_discrete_comparison rests on
     M0 = preset_profile(kind, m, grid, **param)
-    trace = simulate(_config(grid, **kw), M0)
+    trace = simulate(_config(**kw), M0)
     assert trace.snapshots[-1][0] == trace.times[-1]
     assert _replay(M0, trace).tobytes() == trace.snapshots[-1][1].values.tobytes()
 
@@ -225,7 +225,7 @@ def _resume_and_fresh(cfg, M0):
     """(first run, its continuation, a fresh run) at double the threshold."""
     first = simulate(cfg, M0)
     doubled = replace(cfg, u_blowup_threshold=2.0 * cfg.threshold(M0.total_mass))
-    return first, solver.resume(doubled, first), simulate(doubled, M0)
+    return first, solver.resume(first, doubled.u_blowup_threshold), simulate(doubled, M0)
 
 
 class TestResume:
@@ -238,7 +238,7 @@ class TestResume:
     ], ids=["a0.0099", "a0.01", "a0.0101", "pks-12pi"])
     def test_equals_a_fresh_run_at_the_doubled_threshold(self, kind, m, param, n):
         grid = Grid.regular(n, gamma=3.0)
-        cfg = SchemeConfig(grid=grid, u_blowup_threshold=2e5 * m / np.pi)
+        cfg = SchemeConfig(u_blowup_threshold=2e5 * m / np.pi)
         first, resumed, fresh = _resume_and_fresh(
             cfg, preset_profile(kind, m, grid, **param))
         assert first.rejected_spike == 0  # the condition of exactness
@@ -261,7 +261,7 @@ class TestResume:
     ], ids=["blowup", "blowup-at-a-landing", "completed", "step_floor"])
     def test_each_verdict(self, verdict, grid, kind, m, param, kw):
         first, resumed, fresh = _resume_and_fresh(
-            _config(grid, **kw), preset_profile(kind, m, grid, **param))
+            _config(**kw), preset_profile(kind, m, grid, **param))
         assert first.verdict == resumed.verdict == verdict
         _assert_identical(resumed, fresh)
 
@@ -279,7 +279,7 @@ class TestResume:
             return out
 
         monkeypatch.setattr(solver._Workspace, "advance", fail_after_the_first_step)
-        first, resumed, fresh = _resume_and_fresh(_config(grid), M0)
+        first, resumed, fresh = _resume_and_fresh(_config(), M0)
         assert first.verdict == VERDICT_STEP_FLOOR
         assert len(first.times) == 2  # only the first step was accepted
         _assert_identical(resumed, fresh)
@@ -301,7 +301,7 @@ class TestResume:
 
         monkeypatch.setattr(solver._Workspace, "advance", fail_after_tenfold_growth)
         first, resumed, fresh = _resume_and_fresh(
-            _config(grid, t_end=10.0, u_blowup_threshold=1e5), M0)
+            _config(t_end=10.0, u_blowup_threshold=1e5), M0)
         assert first.verdict == VERDICT_BLOWUP
         assert first.blowup_xi is None and max(first.sup_u) < 1e5
         _assert_identical(resumed, fresh)
@@ -324,7 +324,7 @@ class TestResume:
 
         monkeypatch.setattr(solver._Workspace, "diagnostics", first_trial_from_m0_spikes)
         first, resumed, fresh = _resume_and_fresh(
-            _config(grid, t_end=10.0, u_blowup_threshold=7e6), M0)
+            _config(t_end=10.0, u_blowup_threshold=7e6), M0)
         assert first.rejected_spike == fresh.rejected_spike == 1
         assert first.verdict == resumed.verdict == VERDICT_BLOWUP
         assert len(resumed.times) > len(first.times)
@@ -332,38 +332,49 @@ class TestResume:
 
     def test_leaves_the_earlier_trace_unchanged(self):
         grid = Grid.regular(256, gamma=3.0)
-        cfg = _config(grid, t_end=10.0, u_blowup_threshold=1e5)
+        cfg = _config(t_end=10.0, u_blowup_threshold=1e5)
         trace = simulate(cfg, preset_profile("barrier", 10.0 * np.pi, grid, a=0.01))
         before = copy.deepcopy(trace)
         arrays = [p.values for _, p in trace.snapshots]
-        solver.resume(replace(cfg, u_blowup_threshold=2e5), trace)
+        solver.resume(trace, 2e5)
         _assert_identical(trace, before)
         assert len(trace.snapshots) == len(before.snapshots)
         assert all(p.values is a for (_, p), a in zip(trace.snapshots, arrays))
 
-    def test_refuses_a_change_other_than_the_threshold(self):
+    def test_steps_on_the_grid_of_the_stopped_run(self):
+        # the same Grid object, so its cached stencil is reused
+        grid = Grid.regular(256, gamma=3.0)
+        M0 = preset_profile("barrier", 10.0 * np.pi, grid, a=0.01)
+        first, resumed, fresh = _resume_and_fresh(
+            _config(t_end=10.0, u_blowup_threshold=1e5), M0)
+        assert len(resumed.times) > len(first.times)
+        assert resumed.snapshots[-1][1].grid is first.snapshots[0][1].grid
+        _assert_identical(resumed, fresh)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf])
+    def test_refuses_a_non_finite_threshold(self, threshold):
         grid = Grid.regular(128)
-        cfg = _config(grid)
-        trace = simulate(cfg, preset_profile("pks", 4.0 * np.pi, grid, lam=0.5))
-        with pytest.raises(ValueError, match="u_blowup_threshold only"):
-            solver.resume(replace(cfg, t_end=2.0, u_blowup_threshold=1e9), trace)
+        trace = simulate(_config(u_blowup_threshold=1e5),
+                         preset_profile("pks", 4.0 * np.pi, grid, lam=0.5))
+        with pytest.raises(ValueError, match="finite"):
+            solver.resume(trace, threshold)
 
     def test_refuses_a_lower_threshold(self):
         # a lower threshold could have stopped the run earlier
         grid = Grid.regular(128)
-        cfg = _config(grid, u_blowup_threshold=1e5)
+        cfg = _config(u_blowup_threshold=1e5)
         trace = simulate(cfg, preset_profile("pks", 4.0 * np.pi, grid, lam=0.5))
         with pytest.raises(ValueError, match="threshold"):
-            solver.resume(replace(cfg, u_blowup_threshold=0.5e5), trace)
+            solver.resume(trace, 0.5e5)
 
     def test_stops_again_below_the_peak_of_the_stop(self):
         grid = Grid.regular(256, gamma=3.0)
-        cfg = _config(grid, t_end=10.0, u_blowup_threshold=1e5)
+        cfg = _config(t_end=10.0, u_blowup_threshold=1e5)
         M0 = preset_profile("barrier", 10.0 * np.pi, grid, a=0.01)
         first = simulate(cfg, M0)
         assert first.sup_u[-1] > 1e5
         between = replace(cfg, u_blowup_threshold=(1e5 + first.sup_u[-1]) / 2.0)
-        resumed = solver.resume(between, first)
+        resumed = solver.resume(first, between.u_blowup_threshold)
         assert resumed.times == first.times
         _assert_identical(resumed, simulate(between, M0))
 
@@ -374,14 +385,14 @@ class TestComparison:
         m = 4.0 * np.pi
         lo = SubBarrier(1.0, m).profile(grid)
         up = SuperBarrier(0.5, m).profile(grid)
-        rep = verify_discrete_comparison(lo, up, 0.5, _config(grid))
+        rep = verify_discrete_comparison(lo, up, 0.5, _config())
         assert rep.max_violation <= 1e-10 * m
         assert rep.steps > 0
 
     def test_identical_pair_trivial(self):
         grid = Grid.regular(128)
         M = preset_profile("pks", M8, grid, lam=0.5)
-        rep = verify_discrete_comparison(M, M, 0.2, _config(grid))
+        rep = verify_discrete_comparison(M, M, 0.2, _config())
         assert rep.max_violation == 0.0
 
     def test_rejects_unordered_initial_data(self):
@@ -390,14 +401,14 @@ class TestComparison:
         lo = SuperBarrier(0.5, m).profile(grid)
         up = SubBarrier(1.0, m).profile(grid)
         with pytest.raises(ValueError):
-            verify_discrete_comparison(lo, up, 0.1, _config(grid))
+            verify_discrete_comparison(lo, up, 0.1, _config())
 
     def test_rejects_mismatched_grids(self):
         m = 4.0 * np.pi
         lo = SubBarrier(1.0, m).profile(Grid.regular(128))
         up = SuperBarrier(0.5, m).profile(Grid.regular(64))
         with pytest.raises(ValueError):
-            verify_discrete_comparison(lo, up, 0.1, _config(Grid.regular(128)))
+            verify_discrete_comparison(lo, up, 0.1, _config())
 
     def test_rejects_mismatched_masses(self):
         # ordered as arrays, but two different equations: 4pi*xi below 8pi*xi
@@ -405,7 +416,7 @@ class TestComparison:
         lo = preset_profile("constant", 4.0 * np.pi, grid)
         up = preset_profile("constant", M8, grid)
         with pytest.raises(ValueError, match="mass"):
-            verify_discrete_comparison(lo, up, 0.1, _config(grid))
+            verify_discrete_comparison(lo, up, 0.1, _config())
 
 
 @pytest.mark.parametrize("grid,lo,up,T,kw,verdict", [
@@ -418,7 +429,7 @@ class TestComparison:
 ], ids=["completed", "blowup"])
 def test_comparison_takes_the_steps_of_simulate(grid, lo, up, T, kw, verdict):
     lo, up = lo.profile(grid), up.profile(grid)
-    cfg = _config(grid, **kw)
+    cfg = _config(**kw)
     rep = verify_discrete_comparison(lo, up, T, cfg)
     run = simulate(replace(cfg, t_end=T), lo)
     assert run.verdict == verdict
@@ -432,7 +443,7 @@ class TestBarrierConfinement:
         M0 = preset_profile("pks", M8, grid, lam=0.5)
         bar = SuperBarrier(0.2, M8)  # strictly above the lam^2 = 0.25 family member
         assert (bar.value(grid.nodes) >= M0.values).all()
-        cfg = _config(grid, t_end=0.5, snapshot_every=0.1)
+        cfg = _config(t_end=0.5, snapshot_every=0.1)
         trace = simulate(cfg, M0)
         for t, prof in trace.snapshots:
             overshoot = (prof.values - bar.value(grid.nodes)).max()
@@ -443,7 +454,7 @@ class TestGradientBound:
     def test_bound_dominates_slope(self):
         grid = Grid.regular(256)
         M0 = preset_profile("pks", M8, grid, lam=0.4)
-        trace = simulate(_config(grid), M0)
+        trace = simulate(_config(), M0)
         bound = solver.bound_gradient_v(trace)
         for _, prof in trace.snapshots:
             s = radial.potential_slope_from_mass(prof)
@@ -455,4 +466,4 @@ class TestGradientBound:
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_scheme_config_rejects_non_finite(key, value):
     with pytest.raises(ValueError):
-        _config(Grid.regular(64), **{key: value})
+        _config(**{key: value})

@@ -148,7 +148,7 @@ class TestSweep:
 class TestLongtime:
     def test_decay_toward_flat_state(self):
         grid = Grid.regular(256)
-        cfg = solver.SchemeConfig(grid=grid, t_end=4.0, snapshot_every=0.5)
+        cfg = solver.SchemeConfig(t_end=4.0, snapshot_every=0.5)
         M0 = preset_profile("pks", 4.0 * np.pi, grid, lam=0.5)
         trace = solver.simulate(cfg, M0)
         rep = longtime_convergence(trace)
