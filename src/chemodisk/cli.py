@@ -116,7 +116,7 @@ def scenario_verify_global(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
             summary["barrier_confinement"] = f"error: {exc}"
             ok = False
         else:
-            overshoot = max(float((p.values - bar.value(p.xi)).max())
+            overshoot = max(float((p.values - bar.value(p.grid.nodes)).max())
                             for _, p in positive)
             confined = overshoot <= CONFINE_TOL * m
             ok = ok and confined
@@ -242,7 +242,7 @@ def scenario_check(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
     transforms = potentials = True
     r = grid.radii
     for field in energy.random_radial_profiles(5, grid, cfg.seed):
-        M = radial.mass_from_density(field, grid)
+        M = radial.mass_from_density(field)
         lam = M.total_mass
         back = radial.density_from_mass(M)
         transforms &= bool(np.abs(back.values - field.values).max() < 1e-2 * lam)
@@ -327,8 +327,9 @@ def scenario_blowup(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
         summary["initial_below_threshold"] = False
     ok = below and all(trace.verdict == VERDICT_BLOWUP for trace in traces)
     if ok:
-        summary["peak_innermost"] = all(trace.blowup_xi == trace.snapshots[0][1].xi[1]
-                                        for trace in (trace_c, trace_f))
+        summary["peak_innermost"] = all(
+            trace.blowup_xi == trace.snapshots[0][1].grid.nodes[1]
+            for trace in (trace_c, trace_f))
         shift = abs(trace_d.blowup_time - trace_f.blowup_time) / trace_f.blowup_time
         summary["threshold_doubling_shift"] = shift
         summary["threshold_doubling_ok"] = shift < 0.10

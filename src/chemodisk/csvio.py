@@ -223,9 +223,10 @@ def write_energy_audit(path, columns) -> None:
 def read_trace(path) -> dict[str, np.ndarray]:
     """The columns of a trace CSV by name.  Raises TraceFormatError, naming
     the file and line, for a header other than TRACE_HEADER, a row whose
-    cell count differs from it, a cell that is not a float, a last row
-    without its line end (a file cut short, perhaps inside a number), or no
-    row at all (write_trace writes at least the initial one)."""
+    cell count differs from it, a cell that is not a float, a t that does
+    not increase, a last row without its line end (a file cut short,
+    perhaps inside a number), or no row at all (write_trace writes at least
+    the initial one)."""
     with open(path, newline="") as fh:
         text = fh.read()
     lines = text.splitlines()
@@ -246,6 +247,9 @@ def read_trace(path) -> dict[str, np.ndarray]:
         except ValueError:
             raise TraceFormatError(f"{path}:{reader.line_num}: not a float: "
                                    f"{cell!r}") from None
+        t = cols[0]
+        if len(t) > 1 and not t[-1] > t[-2]:
+            raise TraceFormatError(f"{path}:{reader.line_num}: t does not increase")
     if not cols[0]:
         raise TraceFormatError(f"{path}: no data rows under the header")
     return {name: np.asarray(col) for name, col in zip(header, cols)}

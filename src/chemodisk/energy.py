@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import radial
-from .radial import EIGHT_PI, RadialField, Grid, Stencil, trapezoid
+from .radial import EIGHT_PI, Grid, ProfileError, RadialField, Stencil
 
 # density floor inside logarithms, relative to the mean density m/pi
 _LOG_FLOOR = 1e-14
@@ -33,18 +33,18 @@ class DecayAudit:
     energy_drop: float
 
 
-def _disk_integral(f, r) -> float:
-    """2*pi * int f(r) r dr, evaluated as pi * int f dxi on the xi-grid.
+def _disk_integral(f, grid: Grid) -> float:
+    """2*pi * int f(r) r dr at the radii of grid, evaluated as pi * int f dxi.
 
     Radial regularity (f'(0) = 0) makes the xi-form integrand smooth, and
     it keeps every quadrature in the package on the same composite
-    trapezoid rule, which needs at least 3 nodes.
+    trapezoid rule.
     """
-    return trapezoid(np.pi * np.asarray(f, dtype=float), r ** 2)[0]
+    return radial._trapezoid_value(np.pi * np.asarray(f, dtype=float), grid.nodes)
 
 
 def _mass_of(u: RadialField) -> float:
-    return _disk_integral(u.values, u.radii)
+    return _disk_integral(u.values, u.grid)
 
 
 def _free_energy_dissipation(u, v, floor, st: Stencil):
@@ -69,15 +69,16 @@ def free_energy(u: RadialField, v: RadialField) -> float:
 
 
 def energy_report(u: RadialField, v: RadialField) -> EnergyReport:
-    """F(u) = 2*pi int (u ln u - u v / 2) r dr, with u floored in the log,
-    and the dissipation 2*pi int u (d/dr (ln u - v))^2 r dr >= 0."""
+    """F(u) = 2*pi int (u ln u - u v / 2) r dr, with u floored in the log, and
+    the dissipation 2*pi int u (d/dr (ln u - v))^2 r dr >= 0 on the grid of u and v."""
+    if u.grid != v.grid:
+        raise ProfileError("density and potential must share a grid")
     if np.any(u.values < 0):
-        raise radial.ProfileError("density must be nonnegative")
+        raise ProfileError("density must be nonnegative")
     m = _mass_of(u)
     floor = _LOG_FLOOR * m / np.pi
     clamped = int(np.count_nonzero(u.values < floor))
-    st = Stencil(u.radii ** 2, u.radii)
-    F, D = _free_energy_dissipation(u.values, v.values, floor, st)
+    F, D = _free_energy_dissipation(u.values, v.values, floor, u.grid.stencil)
     return EnergyReport(F, D, clamped)
 
 
@@ -112,8 +113,7 @@ def loghls_margin(U: RadialField) -> float:
     lam = _mass_of(U)
     if lam > EIGHT_PI * (1.0 + 1e-12):
         raise ValueError(f"mass {lam:.6g} above 8*pi is outside the inequality's range")
-    grid = Grid(U.radii ** 2)
-    M = radial.mass_from_density(U, grid)
+    M = radial.mass_from_density(U)
     v = radial.potential_from_slope(radial.potential_slope_from_mass(M))
     return free_energy(U, v) - lam * np.log(lam / np.pi)
 
@@ -139,6 +139,6 @@ def random_radial_profiles(count: int, grid: Grid, seed: int):
         if u.min() <= 1e-3:
             continue
         lam = rng.uniform(0.4, EIGHT_PI)
-        raw_mass = _disk_integral(u, r)
-        out.append(RadialField(r, u * (lam / raw_mass)))
+        raw_mass = _disk_integral(u, grid)
+        out.append(RadialField(grid, u * (lam / raw_mass)))
     return out

@@ -75,9 +75,9 @@ def test_discrete_comparison_random_pairs():
     worst = 0.0
     for k in range(10):
         fa, fb = fields[2 * k], fields[2 * k + 1]
-        Ma = radial.mass_from_density(fa, grid)
+        Ma = radial.mass_from_density(fa)
         m = Ma.total_mass
-        Mb = radial.mass_from_density(fb, grid)
+        Mb = radial.mass_from_density(fb)
         vals_b = Mb.values * (m / Mb.total_mass)
         lo = MassProfile(grid, np.minimum(Ma.values, vals_b), m)
         up = MassProfile(grid, np.maximum(Ma.values, vals_b), m)
@@ -136,7 +136,7 @@ def test_energy_decay_and_budget(critical_run):
 def test_second_moment_identity():
     grid = Grid.regular(512)
     for field in energy.random_radial_profiles(20, grid, seed=7):
-        M = radial.mass_from_density(field, grid)
+        M = radial.mass_from_density(field)
         lhs = radial.second_moment(M)
         r = grid.radii
         rhs, est_r = radial.trapezoid(2.0 * np.pi * field.values * r ** 3, r)
@@ -161,7 +161,7 @@ def test_loghls_inequality():
         margin = energy.loghls_margin(field)
         assert margin >= -1e-6
         if margin < 1e-4:
-            lam = radial.mass_from_density(field, grid).total_mass
+            lam = radial.mass_from_density(field).total_mass
             flat = lam / np.pi
             assert np.abs(field.values - flat).max() / flat < 1e-2
 

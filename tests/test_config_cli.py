@@ -174,6 +174,19 @@ class TestCsvIo:
         with pytest.raises(csvio.TraceFormatError, match=f"{path}:{line}:"):
             csvio.read_trace(path)
 
+    @pytest.mark.parametrize("edit, line", [
+        (lambda lines: lines[:-1] + [lines[-2], ""], 15),
+        (lambda lines: lines[:5] + [lines[3]] + lines[5:], 6),
+    ], ids=["last-row-repeated", "earlier-row-inserted"])
+    def test_read_trace_names_the_first_row_whose_t_does_not_increase(
+            self, small_run, tmp_path, edit, line):
+        path = tmp_path / "trace.csv"
+        lines = (small_run / "trace.csv").read_bytes().decode().split("\r\n")
+        path.write_bytes("\r\n".join(edit(lines)).encode())
+        with pytest.raises(csvio.TraceFormatError,
+                           match=f"{path}:{line}: t does not increase"):
+            csvio.read_trace(path)
+
     @pytest.mark.parametrize("text", ["", "a,b\r\n1,2\r\n"], ids=["empty", "foreign"])
     def test_read_trace_rejects_a_file_without_its_header(self, tmp_path, text):
         path = tmp_path / "trace.csv"
@@ -309,6 +322,15 @@ class TestCli:
         assert cli.main(["energy-audit", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / 'trace.csv'}:")
+        assert not (tmp_path / "energy_audit.csv").exists()
+
+    def test_energy_audit_refuses_a_repeated_last_row(self, small_run, tmp_path, capsys):
+        text = (small_run / "trace.csv").read_bytes()
+        last = text.rindex(b"\r\n", 0, -2) + 2
+        (tmp_path / "trace.csv").write_bytes(text + text[last:])
+        assert cli.main(["energy-audit", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'trace.csv'}:15: t does not increase")
         assert not (tmp_path / "energy_audit.csv").exists()
 
     def test_energy_audit_refuses_a_run_that_accepted_no_step(self, tmp_path, capsys,

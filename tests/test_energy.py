@@ -11,8 +11,8 @@ M8 = EIGHT_PI
 
 
 def _constant_fields(grid, m):
-    u = RadialField(grid.radii, np.full(grid.n + 1, m / np.pi))
-    v = RadialField(grid.radii, np.zeros(grid.n + 1))
+    u = RadialField(grid, np.full(grid.n + 1, m / np.pi))
+    v = RadialField(grid, np.zeros(grid.n + 1))
     return u, v
 
 
@@ -35,17 +35,26 @@ class TestFreeEnergy:
 
     def test_rejects_negative_density(self):
         grid = Grid.regular(256)
-        u = RadialField(grid.radii, np.full(grid.n + 1, -1.0))
-        v = RadialField(grid.radii, np.zeros(grid.n + 1))
+        u = RadialField(grid, np.full(grid.n + 1, -1.0))
+        v = RadialField(grid, np.zeros(grid.n + 1))
         with pytest.raises(radial.ProfileError):
             energy_report(u, v)
+
+    def test_rejects_fields_on_different_grids(self):
+        M = [preset_profile("pks", M8, Grid.regular(256, gamma), lam=0.5)
+             for gamma in (1.0, 3.0)]
+        u = radial.density_from_mass(M[0])
+        v = radial.potential_from_slope(radial.potential_slope_from_mass(M[1]))
+        for report in (energy_report, free_energy, dissipation):
+            with pytest.raises(radial.ProfileError, match="share a grid"):
+                report(u, v)
 
     def test_clamp_counted_for_vanishing_density(self):
         grid = Grid.regular(256)
         vals = np.full(grid.n + 1, 1.0)
         vals[:10] = 0.0
-        u = RadialField(grid.radii, vals)
-        v = RadialField(grid.radii, np.zeros(grid.n + 1))
+        u = RadialField(grid, vals)
+        v = RadialField(grid, np.zeros(grid.n + 1))
         assert energy_report(u, v).clamp_count == 10
 
 
@@ -55,8 +64,8 @@ class TestDissipation:
         # same stencil is applied to both terms
         grid = Grid.regular(256)
         v_vals = 0.3 * np.cos(np.pi * grid.radii)
-        u = RadialField(grid.radii, 2.0 * np.exp(v_vals))
-        v = RadialField(grid.radii, v_vals)
+        u = RadialField(grid, 2.0 * np.exp(v_vals))
+        v = RadialField(grid, v_vals)
         assert dissipation(u, v) == pytest.approx(0.0, abs=1e-10)
 
     def test_positive_off_equilibrium(self):
@@ -91,7 +100,7 @@ class TestDecayAudit:
 class TestLogHls:
     def test_constant_state_is_equality(self):
         grid = Grid.regular(512)
-        u = RadialField(grid.radii, np.full(grid.n + 1, M8 / np.pi))
+        u = RadialField(grid, np.full(grid.n + 1, M8 / np.pi))
         assert loghls_margin(u) == pytest.approx(0.0, abs=1e-10)
 
     def test_positive_for_nonconstant(self):
@@ -102,7 +111,7 @@ class TestLogHls:
 
     def test_rejects_supercritical_mass(self):
         grid = Grid.regular(256)
-        u = RadialField(grid.radii, np.full(grid.n + 1, 10.0))
+        u = RadialField(grid, np.full(grid.n + 1, 10.0))
         with pytest.raises(ValueError):
             loghls_margin(u)
 

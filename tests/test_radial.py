@@ -102,8 +102,8 @@ class TestMassProfile:
 class TestTransforms:
     def test_constant_density_round_trip(self):
         g = Grid.regular(128)
-        u = RadialField(g.radii, np.full(g.n + 1, 4.0))
-        M = radial.mass_from_density(u, g)
+        u = RadialField(g, np.full(g.n + 1, 4.0))
+        M = radial.mass_from_density(u)
         # constant density u0 integrates to M = pi*u0*xi exactly
         assert np.allclose(M.values, 4.0 * np.pi * g.nodes, atol=1e-12)
         back = radial.density_from_mass(M)
@@ -148,6 +148,22 @@ class TestTransforms:
         M = radial.preset_profile("constant", 4.0, g)
         s = radial.potential_slope_from_mass(M)
         assert np.allclose(s.values, 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("gamma", [1.0, 3.0])
+    def test_transforms_stay_on_the_grid_of_their_input(self, gamma):
+        M = radial.preset_profile("pks", EIGHT_PI, Grid.regular(128, gamma), lam=0.5)
+        u = radial.density_from_mass(M)
+        s = radial.potential_slope_from_mass(M)
+        assert radial.mass_from_density(u).grid is M.grid
+        assert s.grid is M.grid
+        assert radial.potential_from_slope(s).grid is M.grid
+
+
+class TestRadialField:
+    def test_rejects_values_off_the_grid(self):
+        g = Grid.regular(32)
+        with pytest.raises(ProfileError, match="match the grid"):
+            RadialField(g, np.ones(g.n))
 
 
 class TestSecondMoment:
