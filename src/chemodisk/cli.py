@@ -163,9 +163,7 @@ def _newton_inits(m, grid, seed):
     xi = grid.nodes
     bump = rng.uniform(0.2, 1.0) * np.sin(np.pi * xi) ** 2
     values = m * (xi + bump * xi * (1 - xi))
-    values = np.maximum.accumulate(np.clip(values, 0.0, m))
-    values[0], values[-1] = 0.0, m
-    inits.append(radial.MassProfile(grid, values, m))
+    inits.append(radial.MassProfile(grid, radial._monotone(values, m), m))
     return inits
 
 

@@ -129,8 +129,10 @@ def parse_config(document) -> ExperimentConfig:
             raise ConfigError(f"{key}: bad numeric value {value!r}") from exc
 
     mass = number("mass")
-    if not (np.isfinite(mass) and mass > 0):
-        raise ConfigError(f"mass: must be positive and finite, got {merged['mass']!r}")
+    tiny = float(np.finfo(float).tiny)  # a subnormal m underflows the solver's log floor
+    if not (np.isfinite(mass) and mass >= tiny):
+        raise ConfigError(f"mass: must be positive, finite and at least {tiny!r}, "
+                          f"got {merged['mass']!r}")
     n = number("grid.n", _parse_integer)
     gamma = number("grid.gamma")
     seed = number("seed", _parse_integer)

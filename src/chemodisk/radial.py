@@ -325,6 +325,14 @@ def _check_mass_rows(values: np.ndarray, m: float) -> None:
     raise ProfileError(messages[first])
 
 
+def _monotone(values: np.ndarray, m: float) -> np.ndarray:
+    """Cumulative maximum clipped to [0, m], ends pinned: an order-preserving map."""
+    out = np.maximum.accumulate(values)
+    np.clip(out, 0.0, m, out=out)
+    out[0], out[-1] = 0.0, m
+    return out
+
+
 @dataclass(frozen=True)
 class RadialField:
     """Density or potential samples at the radii r = sqrt(xi) of its grid."""

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .radial import FittedOperator, Grid, MassProfile, cumulative_trapezoid
+from .radial import FittedOperator, Grid, MassProfile, _monotone, cumulative_trapezoid
 from .energy import _LOG_FLOOR, _free_energy_dissipation
 
 VERDICT_COMPLETED = "completed"
@@ -92,19 +92,19 @@ class _LoopState:
     record and snapshot: the scheme, the step it proposes next (not dts[-1]
     after a landing), the next snapshot time, and whether the last record
     is pending, i.e. still awaits its blowup check, landing snapshot and
-    step growth (None before the first trial), with peak_xi the node of its
-    peak density."""
+    step growth (None before the first trial)."""
 
     config: SchemeConfig
     dt: float
     next_snap: float
     pending: bool | None = None
-    peak_xi: float | None = None
 
 
 @dataclass
 class SimulationTrace:
-    """Per-step diagnostics, periodic snapshots, and a termination verdict."""
+    """Per-step diagnostics, periodic snapshots, and a termination verdict.
+    blowup_time is set only for a blowup_detected run, blowup_xi (the node
+    of peak density at the stop) only for a run stopped at the threshold."""
 
     total_mass: float
     times: list = field(default_factory=list)
@@ -132,11 +132,6 @@ class SimulationTrace:
         self.energy.append(diag[2])
         self.dissipation.append(diag[3])
         self.second_moment.append(diag[4])
-
-    def set_verdict(self, verdict: str):
-        if self.verdict is not None:
-            raise ValueError("verdict already set")
-        self.verdict = verdict
 
 
 @dataclass(frozen=True)
@@ -225,11 +220,7 @@ class _Workspace:
         worst = float(np.diff(M).min(initial=0.0))
         if worst >= -_MONO_CLIP_TOL * self.m:
             return M, False
-        out = np.maximum.accumulate(M)
-        np.clip(out, 0.0, self.m, out=out)
-        out[0] = 0.0
-        out[-1] = self.m
-        return out, True
+        return _monotone(M, self.m), True
 
     def step(self, M, dt):
         """lag at M, advance by dt, repair: the map of one stepping-loop step."""
@@ -237,7 +228,7 @@ class _Workspace:
         return self.repair_monotone(self.advance(dt))[0]
 
     def diagnostics(self, M):
-        """(sup_u, sup M/xi, free energy, dissipation, second moment, peak_xi)."""
+        """(sup_u, sup M/xi, free energy, dissipation, second moment), as recorded."""
         m = self.m
         w_xi = self.st.w_xi
         u = self.density(M)
@@ -248,8 +239,7 @@ class _Workspace:
         sup_u = float(u.max())
         sup_mxi = float(np.max(M[1:] / self.xi[1:]))
         secmom = m - float(w_xi @ M)
-        peak_xi = float(self.xi[1 + int(np.argmax(u[1:-1]))])
-        return sup_u, sup_mxi, F, D, secmom, peak_xi
+        return sup_u, sup_mxi, F, D, secmom
 
 
 def step(M: MassProfile, dt: float) -> MassProfile:
@@ -335,11 +325,12 @@ def _integrate(ws: _Workspace, trace: SimulationTrace, M,
     """The stepping loop of simulate and resume.
 
     Steps from the trace's last record, whose profile is M, in the given
-    loop state until a stop condition holds; sets the verdict and keeps the
+    loop state until a stop condition sets the verdict and breaks.  The one
+    exit after the loop sets the stop fields and snapshot, and keeps the
     state it stopped in as trace._stop, for resume.
     """
     config, dt, next_snap = state.config, state.dt, state.next_snap
-    pending, peak_xi = state.pending, state.peak_xi
+    pending = state.pending
     m, grid = trace.total_mass, ws.grid
     threshold = config.threshold(m)
     # a tenfold jump of sup u is a spike only above this floor; it does not
@@ -350,10 +341,7 @@ def _integrate(ws: _Workspace, trace: SimulationTrace, M,
     while True:
         if pending:
             if trace.sup_u[-1] > threshold:
-                trace.set_verdict(VERDICT_BLOWUP)
-                trace.blowup_time = t
-                trace.blowup_xi = peak_xi
-                trace.snapshots.append((t, MassProfile(grid, M.copy(), m)))
+                trace.verdict = VERDICT_BLOWUP
                 break
             if t >= next_snap - 1e-12:
                 trace.snapshots.append((t, MassProfile(grid, M.copy(), m)))
@@ -366,11 +354,10 @@ def _integrate(ws: _Workspace, trace: SimulationTrace, M,
             dt = min(1.5 * dt, config.cfl * ws.lag(M))
             pending = False
         if pending is not None and dt < config.dt_min:
-            trace.set_verdict(_floor_verdict(trace.sup_u[-1], sup_u0, threshold))
-            trace.blowup_time = t
+            trace.verdict = _floor_verdict(trace.sup_u[-1], sup_u0, threshold)
             break
         if t >= config.t_end:
-            trace.set_verdict(VERDICT_COMPLETED)
+            trace.verdict = VERDICT_COMPLETED
             break
         # land exactly on snapshot times and t_end so recorded profiles are
         # comparable across resolutions
@@ -393,10 +380,13 @@ def _integrate(ws: _Workspace, trace: SimulationTrace, M,
             M = trial
             t += dt_eff
             trace.record(t, dt_eff, diag)
-            peak_xi = diag[5]
-    if trace.snapshots[-1][0] < t - 1e-12:
+    if trace.verdict == VERDICT_BLOWUP:
+        trace.blowup_time = t
+    if pending:  # stopped at the threshold, before the landing check
+        trace.blowup_xi = float(grid.nodes[1 + int(np.argmax(ws.density(M)[1:-1]))])
+    if pending or trace.snapshots[-1][0] < t - 1e-12:
         trace.snapshots.append((t, MassProfile(grid, M.copy(), m)))
-    trace._stop = _LoopState(config, dt, next_snap, pending, peak_xi)
+    trace._stop = _LoopState(config, dt, next_snap, pending)
     return trace
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from . import radial
-from .radial import Grid, MassProfile, _check_mass_rows
+from .radial import Grid, MassProfile, _check_mass_rows, _monotone
 from .barriers import (SuperBarrier, SubBarrier, _margins, _q,
                        default_derivative_bound, find_dominating_super,
                        find_dominated_sub)
@@ -195,8 +195,7 @@ def solve_stationary_newton(init: MassProfile) -> NewtonResult:
                 shift = norms[-1] / m
         converged = norms[-1] < tol
     # monotone repair before packaging (Newton can dip microscopically)
-    w = np.maximum.accumulate(np.clip(w, 0.0, m))
-    w[0], w[-1] = 0.0, m
+    w = _monotone(w, m)
     profile = MassProfile(grid, w, m)
     dist = float(np.abs(w - m * xi).max())
     return NewtonResult(profile, converged, it, tuple(norms), tuple(dists),

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -447,3 +448,53 @@ def test_config_error_names_the_key(tmp_path, capsys, sets, key):
         argv += ["--set", item]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+
+# a subnormal m underflows the solver's log floor 1e-14 m/pi to 0, so the
+# run would end at the step floor after no step; it is refused as the mass's
+@pytest.mark.parametrize("mass", ["5e-324", "1e-320"])
+@pytest.mark.parametrize("initial", [[], ["initial.kind=pks", "initial.lambda=0.1"]],
+                         ids=["constant", "pks"])
+def test_a_subnormal_mass_is_refused_as_the_mass(tmp_path, capsys, mass, initial):
+    sets = [f"mass={mass}", *initial]
+    with pytest.raises(ConfigError, match=r"^mass: .*2\.2250738585072014e-308"):
+        parse_config(dict(item.split("=") for item in sets))
+    argv = ["simulate", "--out", str(tmp_path)]
+    for item in sets:
+        argv += ["--set", item]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: mass: ")
+
+
+@pytest.mark.parametrize("initial", [
+    [], ["initial.kind=pks", "initial.lambda=0.1"],
+    ["initial.kind=barrier", "initial.a=1e-4"],
+], ids=["constant", "pks", "barrier"])
+def test_the_smallest_normal_mass_runs_without_warning(tmp_path, initial):
+    argv = ["simulate", "--out", str(tmp_path)]
+    for item in ["mass=2.2250738585072014e-308", "grid.n=16", "grid.gamma=3",
+                 "scheme.t_end=0.01", *initial]:
+        argv += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(argv) == 0
+    assert "verdict=completed\n" in (tmp_path / "summary.txt").read_text()
+
+
+def test_a_step_floor_run_reports_no_blowup_time(tmp_path):
+    # the step floor is not a blowup: the summary and the sweep's row leave
+    # blowup_time empty, where they once held the stop time
+    sets = ["mass=4pi", "grid.n=32", "initial.kind=pks", "initial.lambda=0.3",
+            "scheme.cfl=1e-3"]
+    argv = [arg for item in sets for arg in ("--set", item)]
+    assert cli.main(["simulate", *argv, "--set", "scheme.dt_min=5e-4",
+                     "--out", str(tmp_path / "run")]) == 2
+    lines = (tmp_path / "run" / "summary.txt").read_text().splitlines()
+    assert "verdict=step_floor_reached" in lines
+    assert "blowup_time=" in lines and "blowup_xi=" in lines
+    assert cli.main(["sweep", "--axis", "scheme.dt_min=5e-4", *argv,
+                     "--out", str(tmp_path / "sweep")]) == 0
+    header, row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["verdict"] == "step_floor_reached"
+    assert cells["blowup_time"] == ""

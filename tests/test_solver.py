@@ -223,6 +223,46 @@ def test_replaying_the_accepted_steps_reproduces_the_run(grid, kind, m, param, k
     assert _replay(M0, trace).tobytes() == trace.snapshots[-1][1].values.tobytes()
 
 
+@pytest.mark.parametrize("grid,kind,m,param,kw,verdict", [
+    (Grid.regular(128), "pks", 4.0 * np.pi, {"lam": 0.5}, {}, VERDICT_COMPLETED),
+    # a tiny CFL factor on concentrated data drives dt under dt_min
+    (Grid.regular(32), "pks", 4.0 * np.pi, {"lam": 0.3},
+     {"cfl": 1e-3, "dt_min": 5e-4}, VERDICT_STEP_FLOOR),
+    (Grid.regular(256, gamma=3.0), "barrier", 10.0 * np.pi, {"a": 0.01},
+     {"t_end": 10.0, "u_blowup_threshold": 1e5}, VERDICT_BLOWUP),
+], ids=["completed", "step_floor", "threshold"])
+def test_stop_fields_follow_the_verdict(grid, kind, m, param, kw, verdict):
+    # blowup_time is the stop time of a blowup and None for any other
+    # verdict; blowup_xi is set at a threshold stop only
+    trace = simulate(_config(**kw), preset_profile(kind, m, grid, **param))
+    assert trace.verdict == verdict
+    blowup = verdict == VERDICT_BLOWUP
+    assert trace.blowup_time == (trace.times[-1] if blowup else None)
+    assert (trace.blowup_xi is None) == (not blowup)
+    assert trace.snapshots[-1][0] == trace.times[-1]
+
+
+def test_a_blowup_at_the_step_floor_has_a_time_but_no_peak_node(monkeypatch):
+    # every trial fails once sup u has grown tenfold, so dt falls under
+    # dt_min without a threshold crossing and the floor verdict is blowup
+    grid = Grid.regular(256, gamma=3.0)
+    M0 = preset_profile("barrier", 10.0 * np.pi, grid, a=0.01)
+    u0 = solver._Workspace(grid, M0.total_mass).density(M0.values).max()
+    advance = solver._Workspace.advance
+
+    def fail_after_tenfold_growth(self, dt):
+        out = advance(self, dt)
+        if self.density(self._M).max() > 10.0 * u0:
+            out[1] = np.nan
+        return out
+
+    monkeypatch.setattr(solver._Workspace, "advance", fail_after_tenfold_growth)
+    trace = simulate(_config(t_end=10.0, u_blowup_threshold=1e5), M0)
+    assert trace.verdict == VERDICT_BLOWUP and max(trace.sup_u) < 1e5
+    assert trace.blowup_time == trace.times[-1] == trace.snapshots[-1][0]
+    assert trace.blowup_xi is None
+
+
 def _resume_and_fresh(cfg, M0):
     """(first run, its continuation, a fresh run) at double the threshold."""
     first = simulate(cfg, M0)
@@ -505,3 +545,17 @@ def test_step_preserves_the_order_of_two_profiles(grid, m, a, b, dt):
     lo = step(MassProfile(grid, np.minimum(A, B), m), dt).values
     up = step(MassProfile(grid, np.maximum(A, B), m), dt).values
     assert np.all(lo <= up + 1e-8 * m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(16, 128), st.floats(1.0, 3.0), st.floats(1e-3, 16.0 * np.pi),
+       presets, presets, st.floats(-3.0, -1.0).map(lambda e: 10.0 ** e))
+def test_simulate_preserves_the_order_of_two_profiles(n, gamma, m, a, b, T):
+    # the one-step property over whole runs: both profiles take every step
+    # the lower run takes, up to the same roundoff slack
+    grid = Grid.regular(n, gamma)
+    A, B = (preset_profile(kind, m, grid, **params).values for kind, params in (a, b))
+    lo = MassProfile(grid, np.minimum(A, B), m)
+    up = MassProfile(grid, np.maximum(A, B), m)
+    rep = verify_discrete_comparison(lo, up, T, SchemeConfig(t_end=T, snapshot_every=T))
+    assert rep.max_violation <= 1e-8 * m
