@@ -18,15 +18,6 @@ import numpy as np
 
 from .radial import Grid, MassProfile
 
-__all__ = [
-    "SuperBarrier", "SubBarrier", "DerivativeBoundError", "DominationError",
-    "stationary_operator", "apply_q",
-    "residual_super_closed_form", "residual_sub_closed_form",
-    "envelope_crossing_super", "envelope_crossing_sub",
-    "find_dominating_super", "find_dominated_sub",
-    "separation_margin", "audit_residuals",
-]
-
 
 class DerivativeBoundError(ValueError):
     """The derivative bound C admits no envelope fit: C <= m, C so large that
@@ -208,16 +199,6 @@ def default_derivative_bound(M: MassProfile) -> float:
     return 1.1 * 2.0 * float(max(d.max(), (1.0 / d).max()))
 
 
-def envelope_crossing_super(m: float, C: float) -> float:
-    """Crossing point of the chords C*xi and m - (1-xi)/C."""
-    return (m - 1.0 / C) / (C - 1.0 / C)
-
-
-def envelope_crossing_sub(m: float, C: float) -> float:
-    """Crossing point of the chords xi/C and m - C*(1-xi)."""
-    return (C - m) / (C - 1.0 / C)
-
-
 def find_dominating_super(M: MassProfile, C: float | None = None) -> SuperBarrier:
     """Weakest concave barrier provably above M, built from derivative bounds.
 
@@ -230,7 +211,7 @@ def find_dominating_super(M: MassProfile, C: float | None = None) -> SuperBarrie
     """
     m = M.total_mass
     C = _usable_bound(M, C)
-    xi0 = envelope_crossing_super(m, C)
+    xi0 = (m - 1.0 / C) / (C - 1.0 / C)  # where the chords C xi and m - (1 - xi)/C cross
     y = C * xi0 + _ENVELOPE_MARGIN * m
     if y >= m:
         raise DerivativeBoundError("envelope margin exceeds the upper chord; C too large")
@@ -247,7 +228,7 @@ def find_dominated_sub(M: MassProfile, C: float | None = None) -> SubBarrier:
     """Mirror of find_dominating_super with the convex family, below M."""
     m = M.total_mass
     C = _usable_bound(M, C)
-    xi0 = envelope_crossing_sub(m, C)
+    xi0 = (C - m) / (C - 1.0 / C)  # where the chords xi/C and m - C (1 - xi) cross
     y = xi0 / C - _ENVELOPE_MARGIN * m
     if y <= 0:
         raise DerivativeBoundError("envelope margin exceeds the lower chord; C too large")

@@ -8,29 +8,28 @@ exponentially fitted (Il'in / Scharfetter-Gummel) three-point operator of
 
     (W f)_i = wl_i (f_{i-1} - f_i) + wr_i (f_{i+1} - f_i),   wl, wr >= 0.
 
-Discrete comparison.  Let lo <= up nodewise, both with the Dirichlet data,
-and let lo', up' be their images under one step of the same dt.
+Discrete comparison.  Let lo <= up nodewise, both nondecreasing with the
+Dirichlet data, and lo', up' their images under one step of the same dt.
 
 1. A(c) = I - dt W(c) has the diagonal 1 + dt (wl + wr), nonpositive
    off-diagonals and strict row diagonal dominance, so it is an M-matrix
    with A(c)^-1 >= 0 for every dt > 0.
-2. c is increasing in M, so c_lo <= c_up nodewise, and wl_i falls while
+2. Set wr_0 = wl_n = 0.  The differences D_j = M_{j+1} - M_j of a profile
+   and D'_j of its image solve (1 + dt (wl_{j+1} + wr_j)) D'_j
+   - dt wl_j D'_{j-1} - dt wr_{j+1} D'_{j+1} = D_j.  Column j's off-diagonal
+   magnitudes sum to one less than its diagonal, so this Z-matrix is an
+   M-matrix too: D >= 0 gives D' >= 0, a nondecreasing image.
+3. c is increasing in M, so c_lo <= c_up nodewise, and wl_i falls while
    wr_i rises with c_i.  From A(c_up) up' = up and A(c_lo) lo' = lo,
+   A(c_up) (up' - lo') = (up - lo) + dt (W(c_up) - W(c_lo)) lo', and row i
+   of the last term, (wl_i(c_up) - wl_i(c_lo)) (lo'_{i-1} - lo'_i)
+   + (wr_i(c_up) - wr_i(c_lo)) (lo'_{i+1} - lo'_i), is a sum of two
+   products of factors of equal sign, since lo' is nondecreasing (2).
 
-       A(c_up) (up' - lo') = (up - lo) + dt (W(c_up) - W(c_lo)) lo',
-
-   and row i of the last term is
-   (wl_i(c_up) - wl_i(c_lo)) (lo'_{i-1} - lo'_i)
-   + (wr_i(c_up) - wr_i(c_lo)) (lo'_{i+1} - lo'_i), a sum of two products
-   of factors of equal sign whenever lo' is nondecreasing.
-
-So up' >= lo': the one-step map keeps order at every dt whenever the
-lower image is nondecreasing, and no CFL condition enters.  simulate
-checks every new profile for monotonicity and clips the ones that
-decrease by more than noise (SimulationTrace.clip_events).  The clip, a
-cumulative maximum and then a clip to [0, m], is itself order-preserving,
-so order holds for the clipped steps too, up to that noise level.  The
-step bound (cfl_limit) controls accuracy only.  This is what lets
+So up' >= lo', both nondecreasing, at every dt: no CFL condition enters,
+and the step bound (cfl_limit) controls accuracy only.  simulate's clip of
+a profile that decreases by more than noise (SimulationTrace.clip_events)
+guards against rounding only, and preserves order too.  This is what lets
 closed-form barriers confine numerical solutions, and
 verify_discrete_comparison checks it on exactly the steps simulate takes.
 """
@@ -77,6 +76,8 @@ class SchemeConfig:
             raise ValueError("dt0 > dt_min > 0 required")
         if self.t_end <= 0.0 or self.snapshot_every <= 0.0:
             raise ValueError("t_end and snapshot_every must be positive")
+        if self.snapshot_every <= self.dt_min:  # see _integrate
+            raise ValueError("snapshot_every must exceed dt_min")
         if self.threshold(1.0) <= 0.0:
             raise ValueError("u_blowup_threshold must be positive")
 
@@ -343,13 +344,13 @@ def _integrate(ws: _Workspace, trace: SimulationTrace, M,
             if trace.sup_u[-1] > threshold:
                 trace.verdict = VERDICT_BLOWUP
                 break
-            if t >= next_snap - 1e-12:
+            if t >= next_snap - config.dt_min:  # dt_min: the time resolution
                 trace.snapshots.append((t, MassProfile(grid, M.copy(), m)))
-                while next_snap <= t + 1e-12:
+                while next_snap <= t + config.dt_min:
                     next_snap += config.snapshot_every
-                # a sum of snapshot_every within the landing tolerance of
-                # t_end is t_end, or the run ends on a sub-ulp step
-                if abs(next_snap - config.t_end) <= 1e-12:
+                # a sum of snapshot_every within dt_min of t_end is t_end,
+                # or the run ends on a step shorter than its resolution
+                if abs(next_snap - config.t_end) <= config.dt_min:
                     next_snap = config.t_end
             dt = min(1.5 * dt, config.cfl * ws.lag(M))
             pending = False
@@ -360,8 +361,8 @@ def _integrate(ws: _Workspace, trace: SimulationTrace, M,
             trace.verdict = VERDICT_COMPLETED
             break
         # land exactly on snapshot times and t_end so recorded profiles are
-        # comparable across resolutions
-        dt_eff = min(dt, config.t_end - t, max(next_snap - t, config.dt_min))
+        # comparable across resolutions; next_snap is t_end or past t + dt_min
+        dt_eff = min(dt, config.t_end - t, next_snap - t)
         trial = ws.advance(dt_eff)
         diag = None
         if np.isfinite(trial).all():
@@ -384,7 +385,7 @@ def _integrate(ws: _Workspace, trace: SimulationTrace, M,
         trace.blowup_time = t
     if pending:  # stopped at the threshold, before the landing check
         trace.blowup_xi = float(grid.nodes[1 + int(np.argmax(ws.density(M)[1:-1]))])
-    if pending or trace.snapshots[-1][0] < t - 1e-12:
+    if pending or trace.snapshots[-1][0] < t:  # unless the stop state is recorded
         trace.snapshots.append((t, MassProfile(grid, M.copy(), m)))
     trace._stop = _LoopState(config, dt, next_snap, pending)
     return trace

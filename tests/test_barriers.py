@@ -71,12 +71,21 @@ class TestClosedForms:
         assert flips.size == 1
         assert xi[flips[0]] < 0.2 < xi[flips[0] + 1]
 
-    def test_matches_analytic_q(self):
+    @pytest.mark.parametrize("family,closed_form", [
+        (SuperBarrier, residual_super_closed_form),
+        (SubBarrier, residual_sub_closed_form)], ids=["super", "sub"])
+    @pytest.mark.parametrize("m", [np.pi, 4.0 * np.pi, M8])
+    @pytest.mark.parametrize("param", [1e-3, 0.3, 1e3])
+    def test_matches_analytic_q(self, family, closed_form, m, param):
         xi = np.linspace(0.05, 0.95, 31)
-        bar = SuperBarrier(0.3, 4.0 * np.pi)
-        closed = residual_super_closed_form(0.3, 4.0 * np.pi, xi)
-        analytic = apply_q(bar, 4.0 * np.pi, xi)
-        assert np.allclose(closed, analytic, rtol=1e-12)
+        closed = closed_form(param, m, xi)
+        analytic = apply_q(family(param, m), m, xi)
+        np.testing.assert_allclose(analytic, closed, rtol=1e-12, atol=0.0)
+
+
+def test_sub_barrier_refuses_a_nonpositive_mass():
+    with pytest.raises(ValueError, match="mass must be positive"):
+        SubBarrier(1.0, 0.0)
 
 
 class TestApplyQ:

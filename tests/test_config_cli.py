@@ -77,6 +77,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("mass = 1\nmass = 2\n")
 
+    def test_rejects_a_text_line_without_an_equals_sign(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("mass 8pi")
+        assert str(exc.value) == "line 1: expected 'key = value', got 'mass 8pi'"
+
+    def test_rejects_a_document_that_is_neither_dict_nor_text(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(["mass"])
+        assert str(exc.value) == "config document must be a dict or key=value text"
+
+    def test_rejects_a_cadence_the_run_cannot_land(self):
+        # snapshot_every at or below scheme.dt_min cannot be landed: refused
+        # as the scheme's before any run
+        with pytest.raises(ConfigError) as exc:
+            parse_config({"mass": "4pi", "grid.n": "16",
+                          "scheme.snapshot_every": "1e-300", "scheme.t_end": "0.001"})
+        assert str(exc.value).startswith("scheme: ")
+        assert "snapshot_every must exceed dt_min" in str(exc.value)
+
     def test_rejects_bad_gamma(self):
         with pytest.raises(ConfigError):
             parse_config({"mass": 1.0, "grid.gamma": 5.0})
@@ -302,6 +321,28 @@ class TestCli:
         assert code == 0
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert "gamma" in rows[2]  # the out-of-range value lands in the error column
+
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--set", "mass"], "error: --set expects key=value, got 'mass'"),
+        (["sweep", "--axis", "grid.n", "--set", "mass=4pi"],
+         "error: --axis expects KEY=V1,V2,..."),
+    ], ids=["set", "axis"])
+    def test_an_option_without_its_equals_sign_is_a_usage_error(self, tmp_path,
+                                                                capsys, argv, message):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+
+    def test_sweep_over_the_preset_kind(self, tmp_path):
+        # a kind is written as text, and pks without its lambda is an error row
+        code = cli.main(["sweep", "--axis", "initial.kind=constant,pks",
+                         "--set", "mass=4pi", "--set", "grid.n=16",
+                         "--set", "scheme.t_end=0.01", "--out", str(tmp_path)])
+        assert code == 0
+        header, *rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        cells = [dict(zip(header.split(","), row.split(",", 6))) for row in rows]
+        assert [c["value"] for c in cells] == ["constant", "pks"]
+        assert cells[0]["verdict"] == "completed" and cells[0]["error"] == ""
+        assert cells[1]["error"] == "initial.lambda: pks preset needs lam > 0"
 
     def test_simulate_exits_2_at_step_floor(self, tmp_path):
         # a tiny CFL factor on concentrated data drives dt under dt_min

@@ -122,7 +122,9 @@ OUT_OF_RANGE = {
     "scheme.dt0": st.floats(-1.0, 1e-12),
     "scheme.cfl": st.one_of(st.floats(-1.0, 0.0), st.floats(1.001, 1e3)),
     "scheme.t_end": st.floats(-1e3, 0.0),
-    "scheme.snapshot_every": st.floats(-1e3, 0.0),
+    # up to the default scheme.dt_min, the stepping loop's time resolution
+    "scheme.snapshot_every": st.one_of(st.floats(-1e3, 0.0),
+                                       st.floats(0.0, 1e-12, exclude_min=True)),
     "scheme.u_blowup_threshold": st.floats(-1e6, 0.0),
     "scheme.dt_min": st.one_of(st.floats(-1.0, 0.0), st.floats(1e-3, 1e3)),
     "initial.lambda": st.floats(-1e3, 0.0),

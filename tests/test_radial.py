@@ -100,6 +100,25 @@ class TestMassProfile:
         with pytest.raises(ProfileError):
             MassProfile(g, 0.0 * g.nodes, -1.0)
 
+    def test_rejects_values_of_another_grid(self):
+        with pytest.raises(ProfileError, match="profile values must match the grid"):
+            MassProfile(Grid.regular(32), 4.0 * Grid.regular(16).nodes, 4.0)
+
+
+def test_a_field_refuses_a_nan():
+    g = Grid.regular(16)
+    values = np.ones_like(g.nodes)
+    values[3] = np.nan
+    with pytest.raises(ProfileError, match="field values must be finite"):
+        RadialField(g, values)
+
+
+def test_mass_from_density_refuses_a_negative_density():
+    g = Grid.regular(16)
+    u = RadialField(g, np.where(g.nodes < 0.5, 1.0, -1.0))
+    with pytest.raises(ProfileError, match="density must be nonnegative"):
+        radial.mass_from_density(u)
+
 
 class TestTransforms:
     def test_constant_density_round_trip(self):

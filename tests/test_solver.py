@@ -41,6 +41,20 @@ class TestSchemeConfig:
         with pytest.raises(ValueError):
             _config(u_blowup_threshold=-1.0)
 
+    # dt_min is the stepping loop's time resolution: a cadence at or below
+    # it cannot be landed
+    @pytest.mark.parametrize("kw", [
+        {"snapshot_every": 1e-12},
+        {"snapshot_every": 1e-300},
+        {"dt0": 1e-3, "dt_min": 1e-6, "snapshot_every": 1e-6},
+    ])
+    def test_refuses_a_cadence_at_or_below_dt_min(self, kw):
+        with pytest.raises(ValueError, match="snapshot_every"):
+            SchemeConfig(**kw)
+
+    def test_accepts_a_cadence_above_dt_min(self):
+        assert SchemeConfig(snapshot_every=2e-12).snapshot_every == 2e-12
+
 
 class TestStep:
     def test_linear_profile_is_fixed(self):
@@ -118,6 +132,18 @@ class TestSimulate:
         assert min(trace.dts[1:]) >= 1e-12
         assert trace.snapshots[-1][0] == trace.times[-1] == 1.0
         assert _replay(M0, trace).tobytes() == trace.snapshots[-1][1].values.tobytes()
+
+    def test_a_snapshot_within_dt_min_is_reached_not_overshot(self):
+        # the step before the snapshot at t = 0.4 ends less than dt_min
+        # short of it: that is the snapshot, taken where the run is
+        grid = Grid.regular(64, gamma=2.0)
+        M0 = preset_profile("barrier", 6.0 * np.pi, grid, a=0.05)
+        trace = simulate(_config(snapshot_every=0.1, dt_min=1e-4), M0)
+        times = np.array([t for t, _ in trace.snapshots])
+        due = 0.1 * np.arange(times.size)
+        assert trace.verdict == VERDICT_COMPLETED and times.size == 11
+        assert np.all(times <= due + 1e-12) and np.all(times > due - 1e-4)
+        assert times[4] < 0.4
 
     def test_blowup_detected_supercritical(self):
         grid = Grid.regular(256, gamma=3.0)
@@ -240,6 +266,47 @@ def test_stop_fields_follow_the_verdict(grid, kind, m, param, kw, verdict):
     assert trace.blowup_time == (trace.times[-1] if blowup else None)
     assert (trace.blowup_xi is None) == (not blowup)
     assert trace.snapshots[-1][0] == trace.times[-1]
+
+
+def _dipped(M, depth):
+    """M with node 2 lowered by depth below node 1."""
+    out = M.copy()
+    out[2] = out[1] - depth
+    return out
+
+
+class TestRepairMonotone:
+    # the implicit step keeps monotone profiles monotone (module docstring),
+    # so the repair guards rounding only; these tests dip a profile by hand
+    M0 = preset_profile("pks", 4.0 * np.pi, Grid.regular(64), lam=0.5)
+
+    def test_clips_a_dip_above_noise(self):
+        m = self.M0.total_mass
+        dipped = _dipped(self.M0.values, 1e-9 * m)
+        out, clipped = solver._Workspace(self.M0.grid, m).repair_monotone(dipped)
+        assert clipped
+        assert out.tobytes() == radial._monotone(dipped, m).tobytes()
+
+    def test_keeps_a_dip_at_noise_level(self):
+        m = self.M0.total_mass
+        dipped = _dipped(self.M0.values, 1e-14 * m)
+        out, clipped = solver._Workspace(self.M0.grid, m).repair_monotone(dipped)
+        assert out is dipped and not clipped
+
+    def test_a_clipped_step_is_counted(self, monkeypatch):
+        advance = solver._Workspace.advance
+        calls = []
+
+        def first_advance_dips(self, dt):
+            calls.append(dt)
+            out = advance(self, dt)
+            return _dipped(out, 1e-9 * self.m) if len(calls) == 1 else out
+
+        monkeypatch.setattr(solver._Workspace, "advance", first_advance_dips)
+        trace = simulate(_config(t_end=0.1, snapshot_every=0.05), self.M0)
+        assert trace.verdict == VERDICT_COMPLETED and trace.clip_events == 1
+        for _, prof in trace.snapshots:
+            assert np.diff(prof.values).min() >= 0.0
 
 
 def test_a_blowup_at_the_step_floor_has_a_time_but_no_peak_node(monkeypatch):
@@ -401,6 +468,11 @@ class TestResume:
         with pytest.raises(ValueError, match="finite"):
             solver.resume(trace, threshold)
 
+    def test_refuses_a_trace_that_no_run_returned(self):
+        with pytest.raises(ValueError, match="only a trace returned by simulate "
+                                             "or resume can be resumed"):
+            solver.resume(solver.SimulationTrace(total_mass=1.0), 2.0)
+
     def test_refuses_a_lower_threshold(self):
         # a lower threshold could have stopped the run earlier
         grid = Grid.regular(128)
@@ -531,6 +603,17 @@ def test_step_keeps_endpoints_and_order_of_nodes(grid, m, preset, dt):
     assert out[0] == 0.0
     assert out[-1] == m
     assert np.diff(out).min() >= 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids, masses, presets, step_lengths)
+def test_the_implicit_step_alone_keeps_profiles_nondecreasing(grid, m, preset, dt):
+    # the monotone image of the module docstring, before any repair
+    kind, params = preset
+    M = preset_profile(kind, m, grid, **params).values
+    ws = solver._Workspace(grid, m)
+    ws.lag(M)
+    assert np.diff(ws.advance(dt)).min() >= 0.0
 
 
 @settings(max_examples=100, deadline=None)
