@@ -510,8 +510,7 @@ def main(argv=None) -> int:
             values = [v for v in raw.split(",") if v.strip()]
             run_sweep(cfg, key.strip(), values, out_dir)
             return 0
-        raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, ConfigError, FileNotFoundError, csvio.TraceFormatError) as exc:
+    except (UsageError, ConfigError, OSError, csvio.TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,10 +26,9 @@ import numpy as np
 
 from . import radial
 from .radial import MassProfile
+from .solver import SimulationTrace
 
 SNAPSHOT_HEADER = ["xi", "M", "u", "v_r", "v"]
-TRACE_HEADER = ["t", "dt", "sup_u", "sup_M_over_xi", "energy", "dissipation",
-                "second_moment"]
 ENERGY_AUDIT_HEADER = ["t", "F", "D", "dFdt_est", "budget_residual"]
 
 _BLOCK_ROWS = 256  # rows formatted per kernel call; bounds its temporaries
@@ -209,10 +208,9 @@ def write_snapshot(path, M: MassProfile) -> None:
                    (M.grid.nodes, M.values, u.values, s.values, v.values))
 
 
-def write_trace(path, trace) -> None:
-    _write_columns(path, TRACE_HEADER,
-                   (trace.times, trace.dts, trace.sup_u, trace.sup_m_over_xi,
-                    trace.energy, trace.dissipation, trace.second_moment))
+def write_trace(path, trace: SimulationTrace) -> None:
+    _write_columns(path, list(SimulationTrace.COLUMNS),
+                   [getattr(trace, name) for name in SimulationTrace.COLUMNS.values()])
 
 
 def write_energy_audit(path, columns) -> None:
@@ -222,11 +220,11 @@ def write_energy_audit(path, columns) -> None:
 
 def read_trace(path) -> dict[str, np.ndarray]:
     """The columns of a trace CSV by name.  Raises TraceFormatError, naming
-    the file and line, for a header other than TRACE_HEADER, a row whose
-    cell count differs from it, a cell that is not a float, a t that does
-    not increase, a last row without its line end (a file cut short,
-    perhaps inside a number), or no row at all (write_trace writes at least
-    the initial one)."""
+    the file and line, for a header other than SimulationTrace.COLUMNS, a
+    row whose cell count differs from it, a cell that is not a float, a t
+    that does not increase, a last row without its line end (a file cut
+    short, perhaps inside a number), or no row at all (write_trace writes
+    at least the initial one)."""
     with open(path, newline="") as fh:
         text = fh.read()
     lines = text.splitlines()
@@ -234,7 +232,7 @@ def read_trace(path) -> dict[str, np.ndarray]:
         raise TraceFormatError(f"{path}:{len(lines)}: no line end; the file is cut short")
     reader = csv.reader(lines)
     header = next(reader, None)
-    if header != TRACE_HEADER:
+    if header != list(SimulationTrace.COLUMNS):
         raise TraceFormatError(f"{path}:1: unexpected trace header {header!r}")
     cols = [[] for _ in header]
     for row in reader:

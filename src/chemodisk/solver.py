@@ -36,7 +36,7 @@ verify_discrete_comparison checks it on exactly the steps simulate takes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -107,6 +107,10 @@ class SimulationTrace:
     blowup_time is set only for a blowup_detected run, blowup_xi (the node
     of peak density at the stop) only for a run stopped at the threshold."""
 
+    COLUMNS = {"t": "times", "dt": "dts", "sup_u": "sup_u",  # trace.csv, in file order
+               "sup_M_over_xi": "sup_m_over_xi", "energy": "energy",
+               "dissipation": "dissipation", "second_moment": "second_moment"}
+
     total_mass: float
     times: list = field(default_factory=list)
     dts: list = field(default_factory=list)
@@ -124,15 +128,13 @@ class SimulationTrace:
     _stop: _LoopState | None = field(default=None, repr=False)  # read by resume
 
     def record(self, t, dt, diag):
+        row = (t, dt, *diag)
+        if len(row) != len(self.COLUMNS):
+            raise ValueError(f"a trace row has {len(self.COLUMNS)} values, not {len(row)}")
         if self.times and t <= self.times[-1]:
             raise ValueError("trace times must be strictly increasing")
-        self.times.append(t)
-        self.dts.append(dt)
-        self.sup_u.append(diag[0])
-        self.sup_m_over_xi.append(diag[1])
-        self.energy.append(diag[2])
-        self.dissipation.append(diag[3])
-        self.second_moment.append(diag[4])
+        for name, value in zip(self.COLUMNS.values(), row):
+            getattr(self, name).append(value)
 
 
 @dataclass(frozen=True)
@@ -310,8 +312,8 @@ def resume(trace: SimulationTrace, threshold: float) -> SimulationTrace:
     m = trace.total_mass
     if config.threshold(m) < stop.config.threshold(m):
         raise ValueError("resume needs a threshold at or above the run's own")
-    copies = {f.name: list(getattr(trace, f.name)) for f in fields(trace)
-              if isinstance(getattr(trace, f.name), list)}
+    copies = {name: list(getattr(trace, name))
+              for name in (*SimulationTrace.COLUMNS.values(), "snapshots")}
     if stop.pending:  # the threshold stop's snapshot, taken before the landing check
         copies["snapshots"].pop()
     out = replace(trace, **copies, verdict=None, blowup_time=None,

@@ -221,6 +221,15 @@ class TestCsvIo:
         with pytest.raises(csvio.TraceFormatError, match="no data rows"):
             csvio.read_trace(path)
 
+    def test_trace_file_holds_the_trace_columns_bitwise(self, tmp_path):
+        M = preset_profile("pks", EIGHT_PI, Grid.regular(64), lam=0.5)
+        trace = solver.simulate(solver.SchemeConfig(t_end=0.5, snapshot_every=0.25), M)
+        csvio.write_trace(tmp_path / "trace.csv", trace)
+        data = csvio.read_trace(tmp_path / "trace.csv")
+        assert list(data) == list(solver.SimulationTrace.COLUMNS)
+        for name, attr in solver.SimulationTrace.COLUMNS.items():
+            assert data[name].tobytes() == np.asarray(getattr(trace, attr)).tobytes()
+
     def test_summary_format(self, tmp_path):
         path = tmp_path / "summary.txt"
         csvio.write_summary(path, {"verdict": "completed", "t_final": 1.0})
@@ -236,6 +245,11 @@ class TestCli:
 
     def test_missing_mass_is_usage_error(self, capsys):
         assert cli.main(["simulate"]) == 1
+
+    def test_an_unknown_command_is_a_usage_error(self, capsys):
+        assert cli.main(["foo"]) == 1
+        assert ("error: argument command: invalid choice: 'foo'"
+                in capsys.readouterr().err)
 
     def test_simulate_writes_outputs(self, tmp_path):
         code = cli.main([
@@ -539,3 +553,22 @@ def test_a_step_floor_run_reports_no_blowup_time(tmp_path):
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["verdict"] == "step_floor_reached"
     assert cells["blowup_time"] == ""
+
+
+# a path the command cannot read or write, given as (directory, regular file):
+# each ends in an `error:` line, before the run or after it
+@pytest.mark.parametrize("argv", [
+    lambda d, f: ["simulate", "--set", "mass=4pi", "--config", str(d)],
+    lambda d, f: ["energy-audit", str(f)],
+    lambda d, f: ["barrier", "--out", str(f / "a.csv")],
+    lambda d, f: ["simulate", "--set", "mass=4pi", "--set", "grid.n=16",
+                  "--set", "scheme.t_end=0.01", "--out", str(f)],
+], ids=["config-is-a-directory", "run-dir-is-a-file", "out-below-a-file",
+        "out-is-a-file"])
+def test_a_path_that_cannot_be_used_is_an_error_line(tmp_path, capsys, argv):
+    regular = tmp_path / "file.txt"
+    regular.write_text("")
+    assert cli.main(argv(tmp_path, regular)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

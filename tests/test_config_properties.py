@@ -153,6 +153,36 @@ def test_bad_numeric_values_raise_config_error(entry):
         parse_config(doc)
 
 
+# one value in each out-of-range sub-range of OUT_OF_RANGE, so that no sub-range
+# rests on the fuzzed test's draws
+BOUNDARY = [
+    ("mass", 0), ("mass", -1e3), ("mass", 5e-324), ("mass", 2.2250738585072009e-308),
+    ("grid.n", 15), ("grid.n", -10), ("grid.n", 2 ** 20 + 1), ("grid.n", 16.5),
+    ("grid.gamma", 0.999), ("grid.gamma", 3.001),
+    ("scheme.dt0", 1e-12), ("scheme.dt0", -1),
+    ("scheme.cfl", 0), ("scheme.cfl", 1.001),
+    ("scheme.t_end", 0),
+    ("scheme.snapshot_every", 0), ("scheme.snapshot_every", 5e-324),
+    ("scheme.snapshot_every", 1e-12),
+    ("scheme.u_blowup_threshold", 0),
+    ("scheme.dt_min", 0), ("scheme.dt_min", 1e-3),
+    ("initial.lambda", 0),
+    ("initial.a", 0),
+    ("seed", -1), ("seed", 0.5),
+]
+
+
+def test_every_numeric_key_has_boundary_values():
+    assert {key for key, _ in BOUNDARY} == set(OUT_OF_RANGE)
+
+
+@pytest.mark.parametrize("key,value", BOUNDARY)
+def test_each_out_of_range_sub_range_raises_config_error(key, value):
+    doc = {"mass": "4pi", **CONTEXT.get(key, {}), key: value}
+    with pytest.raises(ConfigError):
+        parse_config(doc)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(not_numbers, lists, st.floats(allow_nan=True))
        .filter(lambda v: str(v).strip() not in ("constant", "pks", "barrier")))

@@ -90,8 +90,8 @@ class TestDecayAudit:
 
     def test_flat_trace_residual_uses_unit_denominator(self):
         trace = solver.SimulationTrace(total_mass=np.pi)
-        trace.record(0.0, 0.0, (1.0, np.pi, 5.0, 0.0, 0.1, 0.5))
-        trace.record(1.0, 1.0, (1.0, np.pi, 5.0, 0.0, 0.1, 0.5))
+        trace.record(0.0, 0.0, (1.0, np.pi, 5.0, 0.0, 0.1))
+        trace.record(1.0, 1.0, (1.0, np.pi, 5.0, 0.0, 0.1))
         audit = audit_decay(trace)
         assert audit.energy_drop == 0.0
         assert audit.budget_residual == 0.0

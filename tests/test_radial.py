@@ -31,6 +31,10 @@ class TestGrid:
         with pytest.raises(ProfileError):
             Grid.regular(8)
 
+    def test_rejects_a_grading_exponent_below_one(self):
+        with pytest.raises(ProfileError, match="gamma must be >= 1"):
+            Grid.regular(16, 0.5)
+
     def test_rejects_bad_span(self):
         nodes = np.linspace(0.1, 1.0, 33)
         with pytest.raises(ProfileError):

@@ -1,5 +1,5 @@
 import copy
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -175,9 +175,23 @@ class TestSimulate:
 
     def test_trace_record_rejects_time_reversal(self):
         trace = solver.SimulationTrace(total_mass=1.0)
-        trace.record(0.0, 0.0, (1.0, 1.0, 0.0, 0.0, 0.0, 0.5))
+        trace.record(0.0, 0.0, (1.0, 1.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
-            trace.record(0.0, 0.0, (1.0, 1.0, 0.0, 0.0, 0.0, 0.5))
+            trace.record(0.0, 0.0, (1.0, 1.0, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("diag", [(1.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0, 0.0, 0.5)],
+                             ids=["short", "long"])
+    def test_trace_record_rejects_a_row_of_the_wrong_length(self, diag):
+        trace = solver.SimulationTrace(total_mass=1.0)
+        trace.record(0.0, 0.0, (1.0, 1.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="a trace row has 7 values"):
+            trace.record(1.0, 1.0, diag)
+        assert [len(getattr(trace, name)) for name in trace.COLUMNS.values()] == [1] * 7
+
+    def test_trace_columns_are_the_trace_lists_but_snapshots(self):
+        # resume copies the COLUMNS lists and the snapshots, and no other list
+        lists = {f.name for f in fields(solver.SimulationTrace) if f.default_factory is list}
+        assert lists == {*solver.SimulationTrace.COLUMNS.values(), "snapshots"}
 
 
 def test_spike_rejections_are_counted(monkeypatch):
