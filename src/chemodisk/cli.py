@@ -432,8 +432,7 @@ def build_parser() -> _Parser:
     _add_config_options(sp)
 
     sp = subs.add_parser("scenario")
-    sp.add_argument("name",
-                    help="verify-global | dichotomy | blowup | uniqueness | check")
+    sp.add_argument("name", choices=_SCENARIOS)
     _add_config_options(sp)
 
     sp = subs.add_parser("barrier")
@@ -493,6 +492,8 @@ def main(argv=None) -> int:
         cfg = _load_config(args,
                            default_mass="8pi" if args.command == "steady" else None)
         out_dir = args.out or cfg.output_dir
+        # an unusable output directory is refused here, before any run starts
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
             trace, summary = run_simulation(cfg, out_dir)
             csvio.write_summary(Path(out_dir) / "summary.txt", summary)

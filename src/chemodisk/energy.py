@@ -47,21 +47,26 @@ def _mass_of(u: RadialField) -> float:
     return _disk_integral(u.values, u.grid)
 
 
-def _free_energy_dissipation(u, v, floor, st: Stencil):
+def _free_energy_dissipation(u, v, floor, st: Stencil, scratch=None):
     """(F, D) for nodal density u and potential v.
 
     F = pi int (u ln u - u v / 2) dxi and D = pi int u ((ln u - v)_r)^2 dxi,
     both with the trapezoid weights of the stencil and u floored inside the
     log.  The same difference stencil is applied to ln u and v, so profiles
     with u = C exp(v) dissipate exactly zero up to roundoff.  The solver
-    calls this every step.
+    calls this every step, with scratch: three arrays shaped like u to
+    compute in (new ones if None).
     """
-    lnu = np.log(np.maximum(u, floor))
-    f = u * lnu - 0.5 * u * v
-    F = np.pi * (st.w_xi @ f)
-    gp = st.d1_r(lnu - v)
-    D = max(np.pi * (st.w_xi @ (u * gp * gp)), 0.0)
-    return float(F), float(D)
+    lnu, f, g = scratch if scratch is not None else (np.empty_like(u) for _ in range(3))
+    np.log(np.maximum(u, floor, out=lnu), out=lnu)
+    np.multiply(u, lnu, out=f)
+    f -= np.multiply(np.multiply(0.5, u, out=g), v, out=g)  # u ln u - 0.5 u v
+    F = np.pi * float(st.w_xi @ f)
+    gp = st.d1_r(np.subtract(lnu, v, out=g), out=f, tmp=lnu[1:-1])
+    np.multiply(u, gp, out=g)
+    g *= gp  # u gp gp
+    D = max(np.pi * float(st.w_xi @ g), 0.0)
+    return F, D
 
 
 def free_energy(u: RadialField, v: RadialField) -> float:

@@ -94,16 +94,24 @@ def _d2_weights(hm, hp):
     return 2.0 * hp / denom, -2.0 * (hm + hp) / denom, 2.0 * hm / denom
 
 
-def _apply3(lo, mid, hi, f):
-    """Three-point weights (lo, mid, hi) applied at the interior nodes of f."""
-    return lo * f[:-2] + mid * f[1:-1] + hi * f[2:]
+def _apply3(lo, mid, hi, f, out=None, tmp=None):
+    """Three-point weights (lo, mid, hi) applied at the interior nodes of f:
+    lo f[:-2] + mid f[1:-1] + hi f[2:], summed in that order.  out and tmp,
+    arrays of the interior's size, receive the result and the products;
+    new arrays if None."""
+    out = np.multiply(lo, f[:-2], out=out)
+    tmp = np.multiply(mid, f[1:-1], out=tmp)
+    out += tmp
+    out += np.multiply(hi, f[2:], out=tmp)
+    return out
 
 
 class FirstDerivative:
     """Three-point first-derivative weights on nonuniform nodes x.
 
     Centered weights (lo, mid, hi) at interior nodes and one-sided triples
-    at the endpoints, nearest node first; exact on quadratics.
+    at the endpoints, nearest node first, as Python floats; exact on
+    quadratics.
     """
 
     def __init__(self, x: np.ndarray):
@@ -111,10 +119,10 @@ class FirstDerivative:
         self.lo = -hp / (hm * (hm + hp))
         self.mid = (hp - hm) / (hm * hp)
         self.hi = hm / (hp * (hm + hp))
-        h0, h1 = x[1] - x[0], x[2] - x[1]
+        h0, h1 = float(x[1] - x[0]), float(x[2] - x[1])
         self.left = (-(2 * h0 + h1) / (h0 * (h0 + h1)), (h0 + h1) / (h0 * h1),
                      -h0 / (h1 * (h0 + h1)))
-        hN, hM = x[-1] - x[-2], x[-2] - x[-3]
+        hN, hM = float(x[-1] - x[-2]), float(x[-2] - x[-3])
         self.right = ((2 * hN + hM) / (hN * (hN + hM)), -(hN + hM) / (hN * hM),
                       hN / (hM * (hN + hM)))
         for a in (self.lo, self.mid, self.hi):
@@ -124,12 +132,18 @@ class FirstDerivative:
         """The derivative at the interior nodes only."""
         return _apply3(self.lo, self.mid, self.hi, f)
 
-    def __call__(self, f: np.ndarray) -> np.ndarray:
-        left, right = self.left, self.right
-        out = np.empty_like(f)
-        out[1:-1] = self.interior(f)
-        out[0] = left[0] * f[0] + left[1] * f[1] + left[2] * f[2]
-        out[-1] = right[0] * f[-1] + right[1] * f[-2] + right[2] * f[-3]
+    def __call__(self, f: np.ndarray, out=None, tmp=None) -> np.ndarray:
+        """The derivative at every node, into out (shaped like f) if given;
+        tmp is _apply3's scratch."""
+        out = np.empty_like(f) if out is None else out
+        _apply3(self.lo, self.mid, self.hi, f, out[1:-1], tmp)
+        # the boundary rows on Python floats: the same IEEE operations as on
+        # NumPy scalars, without their per-operation overhead
+        (l0, l1, l2), (r0, r1, r2) = self.left, self.right
+        f0, f1, f2 = f[:3].tolist()
+        out[0] = l0 * f0 + l1 * f1 + l2 * f2
+        f0, f1, f2 = f[:-4:-1].tolist()
+        out[-1] = r0 * f0 + r1 * f1 + r2 * f2
         return out
 
 
@@ -190,20 +204,41 @@ class FittedOperator:
         self._hbar = 0.5 * (hm + hp)
         self._e2 = (hm ** 2 - hp ** 2) / 12.0
         self._e4 = (hm ** 4 - hp ** 4) / 720.0
+        # the intermediates of weights, private to this operator
+        self._scratch = tuple(np.empty_like(self._hbar) for _ in range(6))
+        self._use_series = np.empty(self._hbar.shape, dtype=bool)
 
-    def weights(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(wl, wr) for the advection speeds c at the interior nodes."""
+    def weights(self, c: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """(wl, wr) for the advection speeds c at the interior nodes, written
+        into the pair of arrays out if given, else into new arrays."""
+        wl, wr = out if out is not None else (np.empty_like(self._hbar),
+                                              np.empty_like(self._hbar))
+        shifted, x, y, lam, bx, by = self._scratch
         # c = 0 would make B(0) = 0/0; the shift is exact for |c| > 1e-284
-        c = c + 1e-300
-        x = c * self._neg_kp
-        y = c * self._km
-        lam = c * self._neg_inv_a
+        c = np.add(c, 1e-300, out=shifted)
+        np.multiply(c, self._neg_kp, out=x)
+        np.multiply(c, self._km, out=y)
+        np.multiply(c, self._neg_inv_a, out=lam)
         with np.errstate(over="ignore"):
-            bx = x / np.expm1(x)  # expm1 = inf past x ~ 709 gives B(x) = 0
-            by = y / np.expm1(y)
-        series = self._hbar + lam * (self._e2 - lam * lam * self._e4)
-        H = np.where(np.abs(c) < self._c_series, series, (by - bx) / lam)
-        return self._am * by / H, self._ap * bx / H
+            # expm1 = inf past x ~ 709 gives B(x) = 0
+            np.divide(x, np.expm1(x, out=bx), out=bx)
+            np.divide(y, np.expm1(y, out=by), out=by)
+        # H = (B(y) - B(x)) / lam, and where |c| < c_series its series
+        # hbar + lam (e2 - lam lam e4); wl and wr hold H and the series
+        H = np.subtract(by, bx, out=wr)
+        H /= lam
+        series = np.multiply(lam, lam, out=wl)
+        series *= self._e4
+        np.subtract(self._e2, series, out=series)
+        series *= lam
+        series += self._hbar
+        np.copyto(H, series, where=np.less(np.abs(c, out=x), self._c_series,
+                                           out=self._use_series))
+        np.multiply(self._am, by, out=wl)
+        wl /= H
+        np.multiply(self._ap, bx, out=x)
+        np.divide(x, H, out=wr)
+        return wl, wr
 
 
 def derivative(values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -253,10 +288,18 @@ def trapezoid(y: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     return value, est
 
 
-def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(np.asarray(y, dtype=float))
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray, out=None,
+                         half_dx=None) -> np.ndarray:
+    """Trapezoid integrals of y from x[0] to each node of x: the running sum
+    of 0.5 diff(x) (y[1:] + y[:-1]), that factor first.  half_dx, if given,
+    is 0.5 * np.diff(x) computed once; out (not y) receives the result."""
+    if half_dx is None:
+        half_dx = 0.5 * np.diff(x)
+    out = np.empty_like(np.asarray(y, dtype=float)) if out is None else out
     out[0] = 0.0
-    np.cumsum(0.5 * np.diff(x) * (y[1:] + y[:-1]), out=out[1:])
+    cells = np.add(y[1:], y[:-1], out=out[1:])
+    cells *= half_dx
+    np.add.accumulate(cells, out=cells)
     return out
 
 

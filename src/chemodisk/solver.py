@@ -156,10 +156,26 @@ def _floor_verdict(sup_u: float, sup_u0: float, threshold: float) -> str:
 
 
 class _Workspace:
-    """Grid-bound scratch: the fitted operator and the tridiagonal buffers.
+    """Grid-bound scratch for the stepping loop: the fitted operator, the
+    tridiagonal bands and every array a step computes in, allocated once.
 
     lag(M) freezes c = c(M) and the weights of W(c); advance(dt) then solves
     (I - dt W) M_new = M.  A retried step with a shorter dt reuses the weights.
+
+    The bits are those of unbuffered NumPy: each method applies the same
+    operations to the same operands in the same order, and only writes
+    each result into a buffer where NumPy would allocate a new array.
+
+    Shared between a trial and the next lag: repair_monotone computes
+    diff(M) and diagnostics M - m xi of the trial M, and when the loop
+    accepts the trial, its lag reuses both.  Each shared buffer remembers
+    the array it was computed from (_differences, _deviation); advance,
+    which writes the next trial over a trial buffer, forgets both, so a
+    rejected trial leaves nothing behind for a later array.  advance
+    writes into one of two trial buffers, never the one holding the lagged
+    profile, so a retry starts from that profile still.  A run keeps
+    profiles as MassProfile copies and records floats, so nothing it
+    returns is a view of these buffers.
     """
 
     def __init__(self, grid: Grid, m: float):
@@ -171,6 +187,7 @@ class _Workspace:
         self._mxi = self.m * self.xi
         self._op = FittedOperator(self.st, 4.0 * self.xi[1:-1])
         self._two_over_hbar = 4.0 / (self.st.hm + self.st.hp)
+        self._half_dr = 0.5 * np.diff(self.r)
         n = grid.n
         self._dl = np.zeros(n)
         self._d = np.ones(n + 1)
@@ -178,9 +195,32 @@ class _Workspace:
         self._log_floor = _LOG_FLOOR * self.m / np.pi
         self._vr_scale = np.zeros_like(self.r)
         self._vr_scale[1:] = -1.0 / (2.0 * np.pi * self.r[1:])
+        self._M = None
+        self._trials = (np.empty(n + 1), np.empty(n + 1))
+        self._diff, self._diff_of = np.empty(n), None  # diff(M)
+        self._dev, self._dev_of = np.empty(n + 1), None  # M - m xi
+        self._u, self._v = np.empty(n + 1), np.empty(n + 1)
+        self._scratch = tuple(np.empty(n + 1) for _ in range(3))  # energy's
+        self._c, self._wl, self._wr = (np.empty(n - 1) for _ in range(3))  # lag's
+        self._tmp = (np.empty(n - 1), np.empty(n - 1))  # interior scratch
+
+    def _deviation(self, M):
+        """M - m xi, computed once per array M (see the class docstring)."""
+        if M is not self._dev_of:
+            self._dev_of = M
+            np.subtract(M, self._mxi, out=self._dev)
+        return self._dev
+
+    def _differences(self, M):
+        """diff(M), computed once per array M (see the class docstring)."""
+        if M is not self._diff_of:
+            self._diff_of = M
+            np.subtract(M[1:], M[:-1], out=self._diff)
+        return self._diff
 
     def density(self, M):
-        u = self.st.d1_xi(M) / np.pi
+        u = self.st.d1_xi(M, out=self._u, tmp=self._tmp[0])
+        u /= np.pi
         np.maximum(u, 0.0, out=u)
         return u
 
@@ -189,15 +229,23 @@ class _Workspace:
 
         c feeds both the fitted weights and the bound (see cfl_limit).
         """
-        c = (M[1:-1] - self._mxi[1:-1]) / np.pi
         self._M = M
-        wl, wr = self._wl, self._wr = self._op.weights(c)
-        dm = M[1:-1] - M[:-2]
-        dp = M[2:] - M[1:-1]
-        # (|c| / hbar) (|V| / hbar) with V = (W M) (hm + hp) / (M_{i+1} - M_{i-1});
-        # where M is flat W M = 0 too, and the 1e-300 keeps 0/0 out
-        rate2 = (np.abs(c * (wr * dp - wl * dm)) * self._two_over_hbar
-                 / (dp + dm + 1e-300))
+        c = np.divide(self._deviation(M)[1:-1], np.pi, out=self._c)
+        wl, wr = self._op.weights(c, out=(self._wl, self._wr))
+        diff = self._differences(M)
+        dm, dp = diff[:-1], diff[1:]
+        # (|c| / hbar) (|V| / hbar) with V = (W M) (hm + hp) / (M_{i+1} - M_{i-1}):
+        # rate2 = |c (wr dp - wl dm)| (2 / hbar) / (dp + dm + 1e-300), where
+        # M is flat W M = 0 too, and the 1e-300 keeps 0/0 out
+        rate2, den = self._tmp
+        np.multiply(wr, dp, out=rate2)
+        rate2 -= np.multiply(wl, dm, out=den)
+        rate2 *= c
+        np.abs(rate2, out=rate2)
+        rate2 *= self._two_over_hbar
+        np.add(dp, dm, out=den)
+        den += 1e-300
+        rate2 /= den
         peak = float(rate2.max())
         return np.inf if peak == 0.0 else 1.0 / np.sqrt(peak)
 
@@ -208,10 +256,16 @@ class _Workspace:
         np.multiply(self._wr, -dt, out=du[1:])
         np.subtract(1.0, dl[:-1], out=d[1:-1])
         d[1:-1] -= du[1:]
-        b = self._M.copy()
+        # dgtsv overwrites the bands with its factors: pin the Dirichlet rows again
+        dl[-1] = du[0] = 0.0
+        d[0] = d[-1] = 1.0
+        self._diff_of = self._dev_of = None
+        b = self._trials[self._M is self._trials[0]]
+        np.copyto(b, self._M)
         b[0] = 0.0
         b[-1] = self.m
-        _, _, _, out, info = dgtsv(dl, d, du, b, overwrite_b=True)
+        _, _, _, out, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1,
+                                   overwrite_du=1, overwrite_b=1)
         if info != 0:
             out[:] = np.nan
         out[0] = 0.0
@@ -220,7 +274,7 @@ class _Workspace:
 
     def repair_monotone(self, M):
         """Clip to nondecreasing only if the violation is above noise level."""
-        worst = float(np.diff(M).min(initial=0.0))
+        worst = float(self._differences(M).min(initial=0.0))
         if worst >= -_MONO_CLIP_TOL * self.m:
             return M, False
         return _monotone(M, self.m), True
@@ -235,12 +289,13 @@ class _Workspace:
         m = self.m
         w_xi = self.st.w_xi
         u = self.density(M)
-        s = (M - self._mxi) * self._vr_scale  # v_r = -(M - m xi) / (2 pi r)
-        v = cumulative_trapezoid(s, self.r)
+        # v_r = -(M - m xi) / (2 pi r)
+        s = np.multiply(self._deviation(M), self._vr_scale, out=self._scratch[0])
+        v = cumulative_trapezoid(s, self.r, out=self._v, half_dx=self._half_dr)
         v -= w_xi @ v
-        F, D = _free_energy_dissipation(u, v, self._log_floor, self.st)
+        F, D = _free_energy_dissipation(u, v, self._log_floor, self.st, self._scratch)
         sup_u = float(u.max())
-        sup_mxi = float(np.max(M[1:] / self.xi[1:]))
+        sup_mxi = float(np.divide(M[1:], self.xi[1:], out=self._scratch[0][1:]).max())
         secmom = m - float(w_xi @ M)
         return sup_u, sup_mxi, F, D, secmom
 
@@ -284,7 +339,7 @@ def simulate(config: SchemeConfig, M0: MassProfile) -> SimulationTrace:
     M = M0.values.copy()
     trace = SimulationTrace(total_mass=m)
     trace.record(0.0, 0.0, ws.diagnostics(M))
-    trace.snapshots.append((0.0, MassProfile(M0.grid, M.copy(), m)))
+    trace.snapshots.append((0.0, MassProfile(M0.grid, M, m)))
     dt = min(config.dt0, config.cfl * ws.lag(M))
     return _integrate(ws, trace, M, _LoopState(config, dt, config.snapshot_every))
 
@@ -347,7 +402,7 @@ def _integrate(ws: _Workspace, trace: SimulationTrace, M,
                 trace.verdict = VERDICT_BLOWUP
                 break
             if t >= next_snap - config.dt_min:  # dt_min: the time resolution
-                trace.snapshots.append((t, MassProfile(grid, M.copy(), m)))
+                trace.snapshots.append((t, MassProfile(grid, M, m)))  # copies M
                 while next_snap <= t + config.dt_min:
                     next_snap += config.snapshot_every
                 # a sum of snapshot_every within dt_min of t_end is t_end,
@@ -388,7 +443,7 @@ def _integrate(ws: _Workspace, trace: SimulationTrace, M,
     if pending:  # stopped at the threshold, before the landing check
         trace.blowup_xi = float(grid.nodes[1 + int(np.argmax(ws.density(M)[1:-1]))])
     if pending or trace.snapshots[-1][0] < t:  # unless the stop state is recorded
-        trace.snapshots.append((t, MassProfile(grid, M.copy(), m)))
+        trace.snapshots.append((t, MassProfile(grid, M, m)))
     trace._stop = _LoopState(config, dt, next_snap, pending)
     return trace
 

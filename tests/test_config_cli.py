@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from chemodisk import cli, config, csvio, solver
+from chemodisk import cli, config, csvio, solver, steady
 from chemodisk.config import (ConfigError, ExperimentConfig, parse_config,
                               parse_number)
 from chemodisk.radial import EIGHT_PI, Grid, preset_profile
@@ -572,3 +572,21 @@ def test_a_path_that_cannot_be_used_is_an_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["scenario", "verify-global"], ["steady"],
+    ["sweep", "--axis", "mass=2pi,4pi"],
+], ids=["simulate", "scenario", "steady", "sweep"])
+def test_an_unusable_out_is_refused_before_any_run(tmp_path, capsys, monkeypatch, command):
+    def never(*args, **kwargs):
+        raise AssertionError("a run started before --out was checked")
+
+    monkeypatch.setattr(solver, "simulate", never)
+    monkeypatch.setattr(steady, "solve_stationary_newton", never)
+    regular = tmp_path / "file.txt"
+    regular.write_text("")
+    argv = [*command, "--set", "mass=4pi", "--set", "grid.n=16", "--out", str(regular)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
