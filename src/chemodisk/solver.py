@@ -39,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
+from ._lapack import dgtsv
 from .radial import FittedOperator, Grid, MassProfile, _monotone, cumulative_trapezoid
 from .energy import _LOG_FLOOR, _free_energy_dissipation
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
+from ._lapack import dgtsv
 from . import radial
 from .radial import Grid, MassProfile, _check_mass_rows, _monotone
 from .barriers import (SuperBarrier, SubBarrier, _margins, _q,

@@ -97,15 +97,20 @@ def test_short_input_needs_three_nodes_for_the_estimate():
 
 def test_import_leaves_only_scipy_linalg_loaded():
     # A fresh interpreter: pytest's own process may have imported scipy
-    # subpackages already (this module imports scipy.integrate).
+    # subpackages already (this module imports scipy.integrate).  Of
+    # scipy.linalg only the LAPACK extension that chemodisk._lapack loads on
+    # its own may be there: not the package, whose __init__ pulls in most of
+    # scipy.linalg and numpy.f2py.
     probe = (
         "import sys, chemodisk.cli\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))\n"
+        "print(' '.join(sorted(m for m in sys.modules\n"
+        "                      if m.startswith('scipy.') or m.startswith('numpy.f2py'))))\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], check=True,
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(SRC))).stdout.split()
-    loaded = {name.split(".")[1] for name in out}
-    assert "linalg" in loaded
+    assert [name for name in out if name.startswith("scipy.linalg")] == ["scipy.linalg._flapack"]
+    assert not [name for name in out if name.startswith("numpy.f2py")]
+    loaded = {name.split(".")[1] for name in out if name.startswith("scipy.")}
     heavy = {"integrate", "special", "optimize", "sparse", "fft", "spatial"}
     assert loaded & heavy == set()
