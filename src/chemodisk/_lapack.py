@@ -41,13 +41,11 @@ def _load_dgtsv():
             return _public_dgtsv()
         try:
             module = importlib.util.module_from_spec(spec)
+            sys.modules[_FLAPACK] = module
             spec.loader.exec_module(module)
         except ImportError:
-            # CPython registers a single-phase extension as it creates it:
-            # leave no half-loaded module for a later import to pick up
             sys.modules.pop(_FLAPACK, None)
             return _public_dgtsv()
-        sys.modules[_FLAPACK] = module
     return module.dgtsv
 
 

@@ -411,7 +411,7 @@ def mass_from_density(u: RadialField) -> MassProfile:
 
 def density_from_mass(M: MassProfile) -> RadialField:
     """u(sqrt(xi)) = M_xi / pi, with derivative noise clamped at zero."""
-    u = M.grid.stencil.d1_xi(M.values) / np.pi
+    u = derivative(M.values, M.grid.nodes) / np.pi
     u[u < 0] = 0.0
     return RadialField(M.grid, u)
 

@@ -394,19 +394,3 @@ def test_mass_density_round_trip_is_second_order(n, gamma, preset):
 def test_constant_density_round_trips_to_roundoff(n, gamma, m):
     M = radial.preset_profile("constant", m, Grid.regular(n, gamma))
     assert _round_trip_error(M) <= 1e-13 * m
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(16, 4096), st.floats(1.0, 3.0), st.floats(1e-3, 16.0 * np.pi),
-       st.one_of(st.just(("constant", {})),
-                 st.floats(-1.3, 1.0).map(lambda e: ("pks", {"lam": 10.0 ** e})),
-                 st.floats(-3.0, 2.0).map(lambda e: ("barrier", {"a": 10.0 ** e}))))
-def test_density_from_mass_on_the_cached_stencil_is_bitwise_unchanged(n, gamma, m, preset):
-    # density_from_mass applies the grid's cached Grid.stencil.d1_xi; its
-    # bits must be those of a FirstDerivative built afresh by derivative()
-    kind, params = preset
-    M = radial.preset_profile(kind, m, Grid.regular(n, gamma), **params)
-    want = derivative(M.values, M.grid.nodes) / np.pi
-    want[want < 0] = 0.0
-    for _ in range(2):  # the second call reuses the cached stencil
-        assert radial.density_from_mass(M).values.tobytes() == want.tobytes()
