@@ -15,7 +15,7 @@ from .barriers import (SubBarrier, SuperBarrier, apply_q, find_dominated_sub,
                        find_dominating_super, residual_sub_closed_form,
                        residual_super_closed_form, separation_margin)
 from .solver import (SchemeConfig, SimulationTrace, bound_gradient_v, cfl_limit,
-                     resume, simulate, step, verify_discrete_comparison)
+                     simulate, step, verify_discrete_comparison)
 from .energy import (audit_decay, dissipation, energy_report, free_energy,
                      loghls_margin, random_radial_profiles)
 from .steady import (longtime_convergence, solve_stationary_newton,

@@ -287,8 +287,10 @@ def scenario_blowup(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
     grid graded hard toward the origin, checks that both detect blowup at
     the innermost interior node of their grid, that detection time is
     insensitive to doubling the threshold (fine grid), and that the peak
-    grows under refinement.  The doubled-threshold run continues the fine
-    run where it stopped (solver.resume) instead of repeating its steps.
+    grows under refinement.  The fine grid is stepped once, at the doubled
+    threshold with a mark at the threshold, and its run at the threshold is
+    read off that run's prefix (SimulationTrace.until).  This is exact: the
+    threshold decides where a run stops, never which steps it takes.
     A run that starts above the threshold stops after one step, so it fails
     the scenario with initial_below_threshold=False in the summary.
     """
@@ -302,11 +304,12 @@ def scenario_blowup(cfg: ExperimentConfig, out_dir) -> ScenarioResult:
         threshold = 2e5 * m / np.pi
     base = cfg.replace(**{"grid.gamma": 3, "scheme.u_blowup_threshold": threshold})
     coarse = base.replace(**{"grid.n": 512})
-    fine = base.replace(**{"grid.n": 1024})
+    doubled = base.replace(**{"grid.n": 1024, "scheme.u_blowup_threshold": 2.0 * threshold})
 
     trace_c, _ = run_simulation(coarse, out / "n512")
-    trace_f, _ = run_simulation(fine, out / "n1024")
-    trace_d = solver.resume(trace_f, 2.0 * threshold)
+    trace_d = solver.simulate(doubled.scheme, doubled.initial_profile(), marks=(threshold,))
+    trace_f = trace_d.until(threshold)
+    write_run(trace_f, out / "n1024")
     write_run(trace_d, out / "n1024_doubled")
     traces = [trace_c, trace_f, trace_d]
     below = max(trace_c.sup_u[0], trace_f.sup_u[0]) <= threshold

@@ -32,6 +32,12 @@ a profile that decreases by more than noise (SimulationTrace.clip_events)
 guards against rounding only, and preserves order too.  This is what lets
 closed-form barriers confine numerical solutions, and
 verify_discrete_comparison checks it on exactly the steps simulate takes.
+
+Thresholds.  A tenfold jump of sup u is rejected as a spike only above
+1e3 m / pi, whatever the blowup threshold, so the threshold decides where
+a run stops, never which steps it takes.  A run at a threshold T is thus
+a prefix of the run at any higher one, and SimulationTrace.until reads it
+off that run, bit for bit, when simulate was given T as a mark.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ class SchemeConfig:
             raise ValueError("dt0 > dt_min > 0 required")
         if self.t_end <= 0.0 or self.snapshot_every <= 0.0:
             raise ValueError("t_end and snapshot_every must be positive")
-        if self.snapshot_every <= self.dt_min:  # see _integrate
+        if self.snapshot_every <= self.dt_min:  # see simulate
             raise ValueError("snapshot_every must exceed dt_min")
         if self.threshold(1.0) <= 0.0:
             raise ValueError("u_blowup_threshold must be positive")
@@ -85,20 +91,6 @@ class SchemeConfig:
         if self.u_blowup_threshold is not None:
             return self.u_blowup_threshold
         return 1e6 * m / np.pi
-
-
-@dataclass(frozen=True)
-class _LoopState:
-    """Where the stepping loop starts or stopped, besides the trace's last
-    record and snapshot: the scheme, the step it proposes next (not dts[-1]
-    after a landing), the next snapshot time, and whether the last record
-    is pending, i.e. still awaits its blowup check, landing snapshot and
-    step growth (None before the first trial)."""
-
-    config: SchemeConfig
-    dt: float
-    next_snap: float
-    pending: bool | None = None
 
 
 @dataclass
@@ -125,7 +117,9 @@ class SimulationTrace:
     blowup_xi: float | None = None
     clip_events: int = 0
     rejected_spike: int = 0  # trials halved for a tenfold jump of sup u
-    _stop: _LoopState | None = field(default=None, repr=False)  # read by resume
+    # simulate's marks: level -> (index, MassProfile, clip_events, rejected_spike)
+    # of the first record above it, None while not crossed
+    marks: dict = field(default_factory=dict, repr=False)
 
     def record(self, t, dt, diag):
         row = (t, dt, *diag)
@@ -135,6 +129,35 @@ class SimulationTrace:
             raise ValueError("trace times must be strictly increasing")
         for name, value in zip(self.COLUMNS.values(), row):
             getattr(self, name).append(value)
+
+    def until(self, level: float) -> SimulationTrace:
+        """The trace a run with u_blowup_threshold = level returns, bit for bit.
+
+        level must be one of the marks this run was simulated with.  Up to
+        the first record above level that run takes the same steps (see
+        simulate), and stops there: the records through it, the landing
+        snapshots before it and its profile as the stop snapshot.  A run
+        that never crossed level is copied whole; only a step-floor verdict
+        is decided again under level.  The result has no marks, and this
+        trace is not changed.
+        """
+        if level not in self.marks:
+            raise ValueError(f"{level!r} is not a mark of this run")
+        if self.marks[level] is None:
+            verdict = (_floor_verdict(self.sup_u[-1], self.sup_u[0], level)
+                       if self.verdict == VERDICT_STEP_FLOOR else self.verdict)
+            return replace(self, **{name: list(getattr(self, name)) for name in
+                                    (*self.COLUMNS.values(), "snapshots")},
+                           verdict=verdict, marks={},
+                           blowup_time=self.times[-1] if verdict == VERDICT_BLOWUP else None)
+        i, profile, clip_events, rejected_spike = self.marks[level]
+        t, grid = self.times[i], profile.grid
+        xi = _peak_node(grid, _Workspace(grid, self.total_mass).density(profile.values))
+        return replace(self, **{name: getattr(self, name)[:i + 1]
+                                for name in self.COLUMNS.values()},
+                       snapshots=[(s, p) for s, p in self.snapshots if s < t] + [(t, profile)],
+                       verdict=VERDICT_BLOWUP, blowup_time=t, blowup_xi=xi,
+                       clip_events=clip_events, rejected_spike=rejected_spike, marks={})
 
 
 @dataclass(frozen=True)
@@ -153,6 +176,11 @@ def _floor_verdict(sup_u: float, sup_u0: float, threshold: float) -> str:
     if sup_u > threshold or sup_u > 10.0 * sup_u0:
         return VERDICT_BLOWUP
     return VERDICT_STEP_FLOOR
+
+
+def _peak_node(grid: Grid, u) -> float:
+    """The interior node of peak density u: blowup_xi at a threshold stop."""
+    return float(grid.nodes[1 + int(np.argmax(u[1:-1]))])
 
 
 class _Workspace:
@@ -327,75 +355,35 @@ def cfl_limit(M: MassProfile) -> float:
     return _Workspace(M.grid, M.total_mass).lag(M.values)
 
 
-def simulate(config: SchemeConfig, M0: MassProfile) -> SimulationTrace:
+def simulate(config: SchemeConfig, M0: MassProfile, marks=()) -> SimulationTrace:
     """Adaptive integration on the grid of M0 up to t_end or termination.
 
     dt grows geometrically toward cfl * cfl_limit; nonfinite output or
     a diagnostic spike halves dt and retries.  All failure modes become
-    verdicts; identical inputs produce a bit-identical trace.
+    verdicts; identical inputs produce a bit-identical trace.  Each stop
+    condition sets the verdict and breaks to the one exit, which sets the
+    stop fields and snapshot.  For each level in marks, none above the
+    threshold, trace.marks keeps the first record after a step whose sup u
+    exceeds it, and trace.until(level) returns the run at that threshold:
+    the threshold decides where a run stops, never which steps it takes.
     """
-    m = M0.total_mass
-    ws = _Workspace(M0.grid, m)
-    M = M0.values.copy()
-    trace = SimulationTrace(total_mass=m)
-    trace.record(0.0, 0.0, ws.diagnostics(M))
-    trace.snapshots.append((0.0, MassProfile(M0.grid, M, m)))
-    dt = min(config.dt0, config.cfl * ws.lag(M))
-    return _integrate(ws, trace, M, _LoopState(config, dt, config.snapshot_every))
-
-
-def resume(trace: SimulationTrace, threshold: float) -> SimulationTrace:
-    """Continue a stopped run under a higher blowup threshold.
-
-    The run keeps its grid and its scheme, with u_blowup_threshold set to
-    threshold; a threshold below the run's own raises ValueError.  The
-    stepping loop of simulate re-enters in the state it stopped in, so the
-    stop condition that fired is evaluated again under the new threshold: a
-    completed run returns at once, a run stopped at the step floor gets its
-    floor verdict again, and a run stopped by the threshold stops at the
-    same step if its last sup u is still above the new one, else keeps
-    stepping (its stop snapshot is dropped unless it was also a landing
-    snapshot).  The threshold decides where a run stops, never which steps
-    it takes, so the result equals a fresh simulate under the new scheme bit
-    for bit.  The trace passed in, its lists and its snapshot arrays are not
-    changed.
-    """
-    stop = trace._stop
-    if stop is None:
-        raise ValueError("only a trace returned by simulate or resume can be resumed")
-    config = replace(stop.config, u_blowup_threshold=threshold)
-    m = trace.total_mass
-    if config.threshold(m) < stop.config.threshold(m):
-        raise ValueError("resume needs a threshold at or above the run's own")
-    copies = {name: list(getattr(trace, name))
-              for name in (*SimulationTrace.COLUMNS.values(), "snapshots")}
-    if stop.pending:  # the threshold stop's snapshot, taken before the landing check
-        copies["snapshots"].pop()
-    out = replace(trace, **copies, verdict=None, blowup_time=None,
-                  blowup_xi=None, _stop=None)
-    last = trace.snapshots[-1][1]  # the profile the run stopped at
-    ws = _Workspace(last.grid, m)
-    return _integrate(ws, out, last.values, replace(stop, config=config))
-
-
-def _integrate(ws: _Workspace, trace: SimulationTrace, M,
-               state: _LoopState) -> SimulationTrace:
-    """The stepping loop of simulate and resume.
-
-    Steps from the trace's last record, whose profile is M, in the given
-    loop state until a stop condition sets the verdict and breaks.  The one
-    exit after the loop sets the stop fields and snapshot, and keeps the
-    state it stopped in as trace._stop, for resume.
-    """
-    config, dt, next_snap = state.config, state.dt, state.next_snap
-    pending = state.pending
-    m, grid = trace.total_mass, ws.grid
+    m, grid = M0.total_mass, M0.grid
     threshold = config.threshold(m)
-    # a tenfold jump of sup u is a spike only above this floor; it does not
-    # depend on the threshold, so a run's steps do not either (resume)
-    spike_floor = 1e3 * m / np.pi
-    t = trace.times[-1]
-    sup_u0 = trace.sup_u[0]
+    if not all(0.0 < level <= threshold for level in marks):
+        raise ValueError("marks must lie in (0, u_blowup_threshold]")
+    ws = _Workspace(grid, m)
+    M = M0.values.copy()
+    trace = SimulationTrace(total_mass=m, marks=dict.fromkeys(marks))
+    unmarked = sorted(trace.marks)
+    trace.record(0.0, 0.0, ws.diagnostics(M))
+    trace.snapshots.append((0.0, MassProfile(grid, M, m)))
+    dt = min(config.dt0, config.cfl * ws.lag(M))
+    next_snap = config.snapshot_every
+    # a record is pending until its blowup check, landing snapshot and step
+    # growth are done; None before the first trial
+    pending = None
+    spike_floor = 1e3 * m / np.pi  # whatever the threshold (module docstring)
+    t = 0.0
     while True:
         if pending:
             if trace.sup_u[-1] > threshold:
@@ -412,7 +400,7 @@ def _integrate(ws: _Workspace, trace: SimulationTrace, M,
             dt = min(1.5 * dt, config.cfl * ws.lag(M))
             pending = False
         if pending is not None and dt < config.dt_min:
-            trace.verdict = _floor_verdict(trace.sup_u[-1], sup_u0, threshold)
+            trace.verdict = _floor_verdict(trace.sup_u[-1], trace.sup_u[0], threshold)
             break
         if t >= config.t_end:
             trace.verdict = VERDICT_COMPLETED
@@ -438,13 +426,15 @@ def _integrate(ws: _Workspace, trace: SimulationTrace, M,
             M = trial
             t += dt_eff
             trace.record(t, dt_eff, diag)
+            while unmarked and diag[0] > unmarked[0]:
+                trace.marks[unmarked.pop(0)] = (len(trace.times) - 1, MassProfile(grid, M, m),
+                                                 trace.clip_events, trace.rejected_spike)
     if trace.verdict == VERDICT_BLOWUP:
         trace.blowup_time = t
     if pending:  # stopped at the threshold, before the landing check
-        trace.blowup_xi = float(grid.nodes[1 + int(np.argmax(ws.density(M)[1:-1]))])
+        trace.blowup_xi = _peak_node(grid, ws.density(M))
     if pending or trace.snapshots[-1][0] < t:  # unless the stop state is recorded
         trace.snapshots.append((t, MassProfile(grid, M, m)))
-    trace._stop = _LoopState(config, dt, next_snap, pending)
     return trace
 
 

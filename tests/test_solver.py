@@ -189,7 +189,7 @@ class TestSimulate:
         assert [len(getattr(trace, name)) for name in trace.COLUMNS.values()] == [1] * 7
 
     def test_trace_columns_are_the_trace_lists_but_snapshots(self):
-        # resume copies the COLUMNS lists and the snapshots, and no other list
+        # until cuts the COLUMNS lists and the snapshots, and no other list
         lists = {f.name for f in fields(solver.SimulationTrace) if f.default_factory is list}
         assert lists == {*solver.SimulationTrace.COLUMNS.values(), "snapshots"}
 
@@ -226,8 +226,7 @@ _RECORDS = ("times", "dts", "sup_u", "sup_m_over_xi", "energy", "dissipation",
 
 
 def _assert_identical(a, b):
-    """Every record, snapshot, verdict and count of two traces, and the loop
-    state they stopped in, bit for bit."""
+    """Every record, snapshot, verdict and count of two traces, bit for bit."""
     for name in _RECORDS:
         assert (np.array(getattr(a, name)).tobytes()
                 == np.array(getattr(b, name)).tobytes()), name
@@ -235,7 +234,7 @@ def _assert_identical(a, b):
     for (_, p), (_, q) in zip(a.snapshots, b.snapshots):
         assert p.values.tobytes() == q.values.tobytes()
     for name in ("verdict", "blowup_time", "blowup_xi", "clip_events",
-                 "rejected_spike", "_stop"):
+                 "rejected_spike"):
         assert getattr(a, name) == getattr(b, name), name
 
 
@@ -344,14 +343,15 @@ def test_a_blowup_at_the_step_floor_has_a_time_but_no_peak_node(monkeypatch):
     assert trace.blowup_xi is None
 
 
-def _resume_and_fresh(cfg, M0):
-    """(first run, its continuation, a fresh run) at double the threshold."""
-    first = simulate(cfg, M0)
-    doubled = replace(cfg, u_blowup_threshold=2.0 * cfg.threshold(M0.total_mass))
-    return first, solver.resume(first, doubled.u_blowup_threshold), simulate(doubled, M0)
+def _until_and_fresh(cfg, M0):
+    """(a run at double cfg's threshold marked at it, the run's until at it,
+    a fresh run under cfg)."""
+    level = cfg.threshold(M0.total_mass)
+    run = simulate(replace(cfg, u_blowup_threshold=2.0 * level), M0, marks=(level,))
+    return run, run.until(level), simulate(cfg, M0)
 
 
-class TestResume:
+class TestUntil:
     # the blowup scenario's fine run: gamma=3, n=1024, threshold 2e5 m/pi
     @pytest.mark.parametrize("kind,m,param,n", [
         ("barrier", 10.0 * np.pi, {"a": 0.0099}, 1024),
@@ -359,21 +359,19 @@ class TestResume:
         ("barrier", 10.0 * np.pi, {"a": 0.0101}, 1024),
         ("pks", 12.0 * np.pi, {"lam": 0.05}, 512),
     ], ids=["a0.0099", "a0.01", "a0.0101", "pks-12pi"])
-    def test_equals_a_fresh_run_at_the_doubled_threshold(self, kind, m, param, n):
+    def test_equals_a_fresh_run_at_the_threshold(self, kind, m, param, n):
         grid = Grid.regular(n, gamma=3.0)
         cfg = SchemeConfig(u_blowup_threshold=2e5 * m / np.pi)
-        first, resumed, fresh = _resume_and_fresh(
-            cfg, preset_profile(kind, m, grid, **param))
-        assert first.rejected_spike == 0  # the condition of exactness
-        assert first.verdict == resumed.verdict == VERDICT_BLOWUP
-        assert len(resumed.times) > len(first.times)
-        _assert_identical(resumed, fresh)
+        run, until, fresh = _until_and_fresh(cfg, preset_profile(kind, m, grid, **param))
+        assert run.verdict == until.verdict == VERDICT_BLOWUP
+        assert len(run.times) > len(until.times)
+        _assert_identical(until, fresh)
 
     @pytest.mark.parametrize("verdict,grid,kind,m,param,kw", [
         (VERDICT_BLOWUP, Grid.regular(256, gamma=3.0), "barrier", 10.0 * np.pi,
          {"a": 0.01}, {"t_end": 10.0, "u_blowup_threshold": 1e5}),
-        # the stop step is cut short to land on the snapshot at t = 0.01988,
-        # so the step the controller proposes next is not dts[-1]
+        # the crossing step is cut short to land on the snapshot at t = 0.01988:
+        # the run at 2T keeps that landing snapshot, the run at T does not
         (VERDICT_BLOWUP, Grid.regular(256, gamma=3.0), "barrier", 10.0 * np.pi,
          {"a": 0.01}, {"snapshot_every": 0.01988, "u_blowup_threshold": 1e5}),
         (VERDICT_COMPLETED, Grid.regular(128), "pks", 4.0 * np.pi,
@@ -381,16 +379,29 @@ class TestResume:
         # the first step already falls under dt_min
         (VERDICT_STEP_FLOOR, Grid.regular(64, gamma=3.0), "pks", M8,
          {"lam": 0.05}, {"dt0": 0.1, "dt_min": 0.01}),
-    ], ids=["blowup", "blowup-at-a-landing", "completed", "step_floor"])
+        # the density starts at 4 > T = 1: the run stops after one step
+        (VERDICT_BLOWUP, Grid.regular(64), "constant", 4.0 * np.pi, {},
+         {"u_blowup_threshold": 1.0}),
+    ], ids=["blowup", "blowup-at-a-landing", "completed", "step_floor",
+            "starts-above-the-threshold"])
     def test_each_verdict(self, verdict, grid, kind, m, param, kw):
-        first, resumed, fresh = _resume_and_fresh(
+        run, until, fresh = _until_and_fresh(
             _config(**kw), preset_profile(kind, m, grid, **param))
-        assert first.verdict == resumed.verdict == verdict
-        _assert_identical(resumed, fresh)
+        assert until.verdict == fresh.verdict == verdict
+        _assert_identical(until, fresh)
+
+    def test_a_crossing_at_a_landing_drops_the_landing_snapshot(self):
+        grid = Grid.regular(256, gamma=3.0)
+        cfg = _config(snapshot_every=0.01988, u_blowup_threshold=1e5)
+        run, until, _ = _until_and_fresh(
+            cfg, preset_profile("barrier", 10.0 * np.pi, grid, a=0.01))
+        t = until.blowup_time
+        assert t in [s for s, _ in run.snapshots]
+        assert [s for s, _ in until.snapshots].count(t) == 1
 
     def test_step_floor_after_rejected_trials(self, monkeypatch):
         # every trial after the first step is non-finite, so dt is halved
-        # under dt_min; resume must stop there again, not grow dt and retry
+        # under dt_min; the run never crosses T, and until copies it
         grid = Grid.regular(64)
         M0 = preset_profile("pks", 4.0 * np.pi, grid, lam=0.5)
         advance = solver._Workspace.advance
@@ -402,15 +413,36 @@ class TestResume:
             return out
 
         monkeypatch.setattr(solver._Workspace, "advance", fail_after_the_first_step)
-        first, resumed, fresh = _resume_and_fresh(_config(), M0)
-        assert first.verdict == VERDICT_STEP_FLOOR
-        assert len(first.times) == 2  # only the first step was accepted
-        _assert_identical(resumed, fresh)
+        run, until, fresh = _until_and_fresh(_config(), M0)
+        assert run.verdict == VERDICT_STEP_FLOOR
+        assert len(run.times) == 2  # only the first step was accepted
+        _assert_identical(until, fresh)
+
+    def test_step_floor_at_the_first_step_above_the_threshold(self, monkeypatch):
+        # every trial is non-finite, so the run ends at the floor with its
+        # initial record alone, which lies between T and 2T: the floor
+        # verdict is step_floor under 2T and blowup under T
+        grid = Grid.regular(64)
+        M0 = preset_profile("pks", 4.0 * np.pi, grid, lam=0.5)
+        u0 = solver._Workspace(grid, M0.total_mass).density(M0.values).max()
+        advance = solver._Workspace.advance
+
+        def fail_every_trial(self, dt):
+            out = advance(self, dt)
+            out[1] = np.nan
+            return out
+
+        monkeypatch.setattr(solver._Workspace, "advance", fail_every_trial)
+        run, until, fresh = _until_and_fresh(_config(u_blowup_threshold=0.75 * u0), M0)
+        assert len(run.times) == 1
+        assert run.verdict == VERDICT_STEP_FLOOR and run.marks == {0.75 * u0: None}
+        assert until.verdict == VERDICT_BLOWUP and until.blowup_xi is None
+        _assert_identical(until, fresh)
 
     def test_step_floor_after_tenfold_growth(self, monkeypatch):
         # every trial fails once sup u has grown tenfold, so dt is halved
         # under dt_min and the floor verdict is blowup without a threshold
-        # crossing; resume must stop at the floor again, not step on
+        # crossing; until copies the run
         grid = Grid.regular(256, gamma=3.0)
         M0 = preset_profile("barrier", 10.0 * np.pi, grid, a=0.01)
         u0 = solver._Workspace(grid, M0.total_mass).density(M0.values).max()
@@ -423,15 +455,15 @@ class TestResume:
             return out
 
         monkeypatch.setattr(solver._Workspace, "advance", fail_after_tenfold_growth)
-        first, resumed, fresh = _resume_and_fresh(
+        run, until, fresh = _until_and_fresh(
             _config(t_end=10.0, u_blowup_threshold=1e5), M0)
-        assert first.verdict == VERDICT_BLOWUP
-        assert first.blowup_xi is None and max(first.sup_u) < 1e5
-        _assert_identical(resumed, fresh)
+        assert run.verdict == VERDICT_BLOWUP and run.marks == {1e5: None}
+        assert until.blowup_xi is None and max(until.sup_u) < 1e5
+        _assert_identical(until, fresh)
 
     def test_equals_a_fresh_run_after_a_spike_rejection(self, monkeypatch):
-        # the first trial from M0 reports sup u = 1.2e4, a tenfold jump that
-        # lies between a spike floor of threshold * 1e-3 at 7e6 and at 1.4e7
+        # the first trial from M0 reports sup u = 1.2e4, a tenfold jump above
+        # the spike floor 1e3 m / pi = 1e4, so it is rejected before the crossing
         grid = Grid.regular(256, gamma=3.0)
         M0 = preset_profile("barrier", 10.0 * np.pi, grid, a=0.01)
         diagnostics = solver._Workspace.diagnostics
@@ -446,65 +478,110 @@ class TestResume:
             return (1.2e4,) + diag[1:]
 
         monkeypatch.setattr(solver._Workspace, "diagnostics", first_trial_from_m0_spikes)
-        first, resumed, fresh = _resume_and_fresh(
+        run, until, fresh = _until_and_fresh(
             _config(t_end=10.0, u_blowup_threshold=7e6), M0)
-        assert first.rejected_spike == fresh.rejected_spike == 1
-        assert first.verdict == resumed.verdict == VERDICT_BLOWUP
-        assert len(resumed.times) > len(first.times)
-        _assert_identical(resumed, fresh)
+        assert until.rejected_spike == fresh.rejected_spike == 1
+        assert run.verdict == until.verdict == VERDICT_BLOWUP
+        assert len(run.times) > len(until.times)
+        _assert_identical(until, fresh)
 
-    def test_leaves_the_earlier_trace_unchanged(self):
+    def test_counts_stop_at_the_crossing(self, monkeypatch):
+        # every trial from a profile above T is clipped: the run at 2T
+        # counts them, the run at T stops before it takes one
         grid = Grid.regular(256, gamma=3.0)
-        cfg = _config(t_end=10.0, u_blowup_threshold=1e5)
-        trace = simulate(cfg, preset_profile("barrier", 10.0 * np.pi, grid, a=0.01))
-        before = copy.deepcopy(trace)
-        arrays = [p.values for _, p in trace.snapshots]
-        solver.resume(trace, 2e5)
-        _assert_identical(trace, before)
-        assert len(trace.snapshots) == len(before.snapshots)
-        assert all(p.values is a for (_, p), a in zip(trace.snapshots, arrays))
+        M0 = preset_profile("barrier", 10.0 * np.pi, grid, a=0.01)
+        advance = solver._Workspace.advance
 
-    def test_steps_on_the_grid_of_the_stopped_run(self):
+        def dip_above_the_threshold(self, dt):
+            out = advance(self, dt)
+            return _dipped(out, 1e-9 * self.m) if self.density(self._M).max() > 1e5 else out
+
+        monkeypatch.setattr(solver._Workspace, "advance", dip_above_the_threshold)
+        run, until, fresh = _until_and_fresh(
+            _config(t_end=10.0, u_blowup_threshold=1e5), M0)
+        assert run.clip_events > until.clip_events == 0
+        _assert_identical(until, fresh)
+
+    def test_leaves_the_run_unchanged(self):
+        grid = Grid.regular(256, gamma=3.0)
+        cfg = _config(t_end=10.0, u_blowup_threshold=2e5)
+        run = simulate(cfg, preset_profile("barrier", 10.0 * np.pi, grid, a=0.01),
+                       marks=(1e5,))
+        before = copy.deepcopy(run)
+        arrays = [p.values for _, p in run.snapshots]
+        until = run.until(1e5)
+        until.times.append(1.0)  # the result shares no list with the run
+        until.snapshots.pop()
+        _assert_identical(run, before)
+        assert run.marks.keys() == before.marks.keys()
+        assert run.marks[1e5][1].values.tobytes() == before.marks[1e5][1].values.tobytes()
+        assert len(run.snapshots) == len(before.snapshots)
+        assert all(p.values is a for (_, p), a in zip(run.snapshots, arrays))
+
+    def test_keeps_the_grid_of_the_run(self):
         # the same Grid object, so its cached stencil is reused
         grid = Grid.regular(256, gamma=3.0)
         M0 = preset_profile("barrier", 10.0 * np.pi, grid, a=0.01)
-        first, resumed, fresh = _resume_and_fresh(
+        run, until, fresh = _until_and_fresh(
             _config(t_end=10.0, u_blowup_threshold=1e5), M0)
-        assert len(resumed.times) > len(first.times)
-        assert resumed.snapshots[-1][1].grid is first.snapshots[0][1].grid
-        _assert_identical(resumed, fresh)
+        assert len(run.times) > len(until.times)
+        assert until.snapshots[-1][1].grid is run.snapshots[0][1].grid
+        _assert_identical(until, fresh)
 
-    @pytest.mark.parametrize("threshold", [np.nan, np.inf])
-    def test_refuses_a_non_finite_threshold(self, threshold):
+    @pytest.mark.parametrize("level", [np.nan, np.inf, 0.0, -1.0])
+    def test_refuses_a_mark_outside_the_threshold_range(self, level):
         grid = Grid.regular(128)
-        trace = simulate(_config(u_blowup_threshold=1e5),
-                         preset_profile("pks", 4.0 * np.pi, grid, lam=0.5))
-        with pytest.raises(ValueError, match="finite"):
-            solver.resume(trace, threshold)
+        with pytest.raises(ValueError, match="marks must lie in"):
+            simulate(_config(u_blowup_threshold=1e5),
+                     preset_profile("pks", 4.0 * np.pi, grid, lam=0.5), marks=(level,))
 
-    def test_refuses_a_trace_that_no_run_returned(self):
-        with pytest.raises(ValueError, match="only a trace returned by simulate "
-                                             "or resume can be resumed"):
-            solver.resume(solver.SimulationTrace(total_mass=1.0), 2.0)
-
-    def test_refuses_a_lower_threshold(self):
-        # a lower threshold could have stopped the run earlier
+    def test_refuses_a_level_that_is_not_a_mark(self):
+        with pytest.raises(ValueError, match="is not a mark of this run"):
+            solver.SimulationTrace(total_mass=1.0).until(2.0)
         grid = Grid.regular(128)
-        cfg = _config(u_blowup_threshold=1e5)
-        trace = simulate(cfg, preset_profile("pks", 4.0 * np.pi, grid, lam=0.5))
-        with pytest.raises(ValueError, match="threshold"):
-            solver.resume(trace, 0.5e5)
+        run = simulate(_config(u_blowup_threshold=1e5),
+                       preset_profile("pks", 4.0 * np.pi, grid, lam=0.5), marks=(5e4,))
+        with pytest.raises(ValueError, match="is not a mark of this run"):
+            run.until(1e5)
 
-    def test_stops_again_below_the_peak_of_the_stop(self):
+    def test_refuses_a_mark_above_the_threshold(self):
+        # the run stops at its threshold, so it cannot show where a run at
+        # a higher one stops
+        grid = Grid.regular(128)
+        with pytest.raises(ValueError, match="marks must lie in"):
+            simulate(_config(u_blowup_threshold=1e5),
+                     preset_profile("pks", 4.0 * np.pi, grid, lam=0.5), marks=(2e5,))
+
+    def test_marks_crossed_by_one_record_stop_there(self):
+        # a level between T and the peak of the run at T is crossed by the
+        # record that stops that run
         grid = Grid.regular(256, gamma=3.0)
         cfg = _config(t_end=10.0, u_blowup_threshold=1e5)
         M0 = preset_profile("barrier", 10.0 * np.pi, grid, a=0.01)
         first = simulate(cfg, M0)
         assert first.sup_u[-1] > 1e5
-        between = replace(cfg, u_blowup_threshold=(1e5 + first.sup_u[-1]) / 2.0)
-        resumed = solver.resume(first, between.u_blowup_threshold)
-        assert resumed.times == first.times
-        _assert_identical(resumed, simulate(between, M0))
+        between = (1e5 + first.sup_u[-1]) / 2.0
+        run = simulate(replace(cfg, u_blowup_threshold=2e5), M0, marks=(1e5, between))
+        assert run.marks[1e5][0] == run.marks[between][0] == len(first.times) - 1
+        _assert_identical(run.until(1e5), first)
+        assert run.until(between).times == first.times
+        _assert_identical(run.until(between),
+                          simulate(replace(cfg, u_blowup_threshold=between), M0))
+
+
+def test_decade_marks_give_each_decade_run():
+    grid = Grid.regular(512, gamma=3.0)
+    M0 = preset_profile("barrier", 10.0 * np.pi, grid, a=0.01)
+    cfg = _config(t_end=10.0, u_blowup_threshold=2e6)
+    levels = (1e4, 1e5, 1e6)
+    run = simulate(cfg, M0, marks=levels)
+    _assert_identical(run, simulate(cfg, M0))  # marks do not change the run
+    indices = [run.marks[level][0] for level in levels]
+    assert indices == sorted(set(indices))
+    for level, i in zip(levels, indices):
+        assert run.sup_u[i] > level >= max(run.sup_u[1:i], default=0.0)
+        _assert_identical(run.until(level),
+                          simulate(replace(cfg, u_blowup_threshold=level), M0))
 
 
 class TestComparison:

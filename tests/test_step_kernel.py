@@ -2,6 +2,7 @@
 one it replaced, bit for bit, and the isolation of its buffers."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,14 +234,14 @@ def forced(base, nonfinite=(), spike=(), dip=()):
 
 
 def _assert_same_run(a, b):
-    """Every record, snapshot, verdict, count and stop state, bit for bit."""
+    """Every record, snapshot, verdict and count, bit for bit."""
     for name in solver.SimulationTrace.COLUMNS.values():
         assert_bits(getattr(a, name), getattr(b, name))
     assert [t for t, _ in a.snapshots] == [t for t, _ in b.snapshots]
     for (_, p), (_, q) in zip(a.snapshots, b.snapshots):
         assert_bits(p.values, q.values)
     for name in ("verdict", "blowup_time", "blowup_xi", "clip_events",
-                 "rejected_spike", "_stop"):
+                 "rejected_spike"):
         assert getattr(a, name) == getattr(b, name), name
 
 
@@ -264,11 +265,13 @@ RUNS = {
 def test_a_forced_run_matches_the_reference_run_bitwise(monkeypatch, run, forcing):
     grid, kind, m, params, cfg = RUNS[run]
     M0 = preset_profile(kind, m, grid, **params)
+    level = cfg.threshold(m)
+    doubled = replace(cfg, u_blowup_threshold=2.0 * level)
     traces = []
     for base in (solver._Workspace, ReferenceWorkspace):
         monkeypatch.setattr(solver, "_Workspace", forced(base, **FORCINGS[forcing]))
-        trace = simulate(cfg, M0)
-        traces += [trace, solver.resume(trace, 2.0 * cfg.threshold(m))]
+        trace = simulate(doubled, M0, marks=(level,))
+        traces += [trace.until(level), trace]
     assert traces[0].clip_events + traces[0].rejected_spike > 0 or forcing == "non-finite"
     _assert_same_run(traces[0], traces[2])
     _assert_same_run(traces[1], traces[3])
@@ -307,19 +310,26 @@ def test_nothing_a_run_returns_is_a_view_of_a_buffer(monkeypatch, run):
             made.append(self)
 
     monkeypatch.setattr(solver, "_Workspace", Recorded)
-    first = simulate(cfg, preset_profile(kind, m, grid, **params))
-    resumed = solver.resume(first, 2.0 * cfg.threshold(m))
-    assert len(made) == 2
+    level = cfg.threshold(m)
+    doubled = replace(cfg, u_blowup_threshold=2.0 * level)
+    full = simulate(doubled, preset_profile(kind, m, grid, **params), marks=(level,))
+    until = full.until(level)
+    # until builds a workspace for the peak node of a crossing only
+    assert len(made) == 1 + (until.blowup_xi is not None)
     buffers = [a for ws in made for a in _buffers(ws)]
     assert len(buffers) > 20
-    for trace in (first, resumed):
-        for _, prof in trace.snapshots:
+    marked = [mark[1] for mark in full.marks.values() if mark is not None]
+    for trace in (until, full):
+        for prof in [p for _, p in trace.snapshots] + marked:
             assert not any(np.shares_memory(prof.values, a) for a in buffers)
         for name in solver.SimulationTrace.COLUMNS.values():
             assert all(type(value) in (float, np.float64) for value in getattr(trace, name))
-    before = [copy.deepcopy(trace) for trace in (first, resumed)]
+    before = [copy.deepcopy(trace) for trace in (until, full)]
     for a in buffers:
         a.fill(np.nan)
-    _assert_same_run(first, before[0])
-    _assert_same_run(resumed, before[1])
+    _assert_same_run(until, before[0])
+    _assert_same_run(full, before[1])
+    assert all(mark[1].values.tobytes() == old[1].values.tobytes()
+               for mark, old in zip(full.marks.values(), before[1].marks.values())
+               if mark is not None)
 
