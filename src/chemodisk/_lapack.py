@@ -4,13 +4,17 @@ scipy exposes dgtsv through ``scipy.linalg.lapack``, but importing that runs
 the ``scipy.linalg`` package's ``__init__``, which loads most of scipy.linalg
 and, through numpy's namespace, ``numpy.f2py``: more than half of a fresh
 ``import chemodisk``.  This module loads the f2py extension that holds the
-routine, ``scipy.linalg._flapack``, on its own: it imports the top-level
-``scipy`` (cheap; it sets up the bundled library path on some platforms),
-finds the extension inside scipy's ``linalg`` directory with the public path
-finder, which runs no package ``__init__``, and registers it under its own
-name, so a later ``import scipy.linalg`` reuses it and both ways in give the
-same ``dgtsv`` object.  ``_flapack`` is private to scipy, so where it cannot
-be found or loaded the public import is used instead.
+routine, ``scipy.linalg._flapack``, on its own, and runs no scipy package code
+at all: ``importlib.util.find_spec("scipy")`` reads where scipy is installed
+without importing it, the public path finder finds the extension inside that
+directory's ``linalg``, and the extension is registered under its own name, so
+a later ``import scipy.linalg`` reuses it and both ways in give the same
+``dgtsv`` object.  ``_flapack`` is private to scipy, so where scipy or the
+extension cannot be found, or the extension cannot be loaded, the public
+import is used instead.  A platform whose scipy ``__init__`` must first put a
+bundled library directory on the search path (delvewheel wheels on Windows,
+for one) would fail the bare load and take the public import; that is
+unverified, as only Linux has been tried.
 
 The load runs when chemodisk is imported, not on the first solve.
 """
@@ -19,8 +23,6 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-
-import scipy
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -31,12 +33,13 @@ def _public_dgtsv():
 
 
 def _load_dgtsv():
-    """dgtsv from scipy's LAPACK extension, loaded without scipy.linalg's
-    ``__init__``; the public ``scipy.linalg.lapack.dgtsv`` if that fails."""
+    """dgtsv from scipy's LAPACK extension, loaded without running any scipy
+    package code; the public ``scipy.linalg.lapack.dgtsv`` if that fails."""
     module = sys.modules.get(_FLAPACK)
     if module is None:
-        spec = importlib.machinery.PathFinder.find_spec(
-            _FLAPACK, [os.path.join(scipy.__path__[0], "linalg")])
+        scipy = importlib.util.find_spec("scipy")
+        spec = None if scipy is None else importlib.machinery.PathFinder.find_spec(
+            _FLAPACK, [os.path.join(scipy.submodule_search_locations[0], "linalg")])
         if spec is None:
             return _public_dgtsv()
         try:

@@ -26,8 +26,11 @@ _NEWTON_TOL_REL = 1e-10
 _NEWTON_MAX_ITER = 100
 # sampled parameters per barrier family in the uniqueness sweep
 _SWEEP_SAMPLES = 50
-# most barrier values (parameters x nodes) the sweep holds at once
-_SWEEP_BLOCK = 2 ** 20
+# most barrier values (parameters x nodes) the sweep holds at once: each
+# block's float64 arrays are then at most 64 KiB, under glibc's 128 KiB mmap
+# threshold, so they come from the heap and are reused across blocks and
+# calls instead of being mapped and unmapped, a page fault per page, each time
+_SWEEP_BLOCK = 2 ** 13
 
 
 @dataclass(frozen=True)

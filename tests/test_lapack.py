@@ -3,6 +3,7 @@ the routine scipy.linalg.lapack exports, and the public import stands in
 wherever that load fails."""
 
 import importlib.machinery
+import importlib.util
 import os
 import re
 import subprocess
@@ -36,6 +37,16 @@ def test_no_spec_falls_back_to_the_public_import(monkeypatch):
     monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
                         classmethod(lambda cls, name, path=None, target=None: None))
     assert _lapack._load_dgtsv() is scipy.linalg.lapack.dgtsv
+
+
+def test_no_scipy_spec_falls_back_to_the_public_import(monkeypatch):
+    find_spec = importlib.util.find_spec
+    monkeypatch.delitem(sys.modules, _lapack._FLAPACK)
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, package=None:
+                        None if name == "scipy" else find_spec(name, package))
+    assert _lapack._load_dgtsv() is scipy.linalg.lapack.dgtsv
+    assert _lapack._FLAPACK not in sys.modules
 
 
 def test_a_failed_load_falls_back_to_the_public_import(monkeypatch):
